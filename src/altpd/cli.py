@@ -106,8 +106,8 @@ class RunConfig:
             raise ValueError("costs must satisfy 0 < c < b")
         if self.memory not in (1, 2, 3):
             raise ValueError("memory must be 1, 2, or 3")
-        if self.t_final <= 0.0 or self.dt <= 0.0:
-            raise ValueError("t and dt must be positive")
+        if not (0.0 < self.t_final < math.inf and 0.0 < self.dt < math.inf):
+            raise ValueError("t and dt must be finite and positive")
         if self.method not in ("rk4", "rk45"):
             raise ValueError("method must be rk4 or rk45")
         if self.rounds < 1:
@@ -222,7 +222,10 @@ def _parse_strategy(text: str, memory: int, flag: str) -> Strategy:
         values = [float(token) for token in text.split(",")]
     except ValueError:
         raise ValueError(f"--{flag}: expected a preset or comma-separated floats")
-    strategy = Strategy(np.array(values))
+    try:
+        strategy = Strategy(np.array(values))
+    except ValueError as exc:
+        raise ValueError(f"--{flag}: {exc}") from None
     if strategy.memory != memory:
         raise ValueError(f"--{flag}: got {len(values)} entries, need {4 ** memory}")
     return strategy

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import FieldSingularError, NotAnEquilibriumError
 from .payoff import payoff_by_determinant
@@ -81,6 +81,30 @@ def _field_components(x1, x2, x3, x4, b, c):
         x1 * (x2 - 2 * x4 - 1) - x2 + (x3 + 2) * x4 + 1
     ) ** 2
     return e13, e2, denom
+
+
+def _field_scalar(x1, x2, x3, x4, b, c):
+    """Memory-1 field at one point given as plain floats.
+
+    Returns (denom, (g1, g2, g3, g4)) with the same operations, in the same
+    order, as _field_raw, so results agree bit for bit with
+    field_closed_form on a single state. Callers apply their own |denom| threshold; an exactly zero
+    denominator raises FieldSingularError here instead of dividing, and so
+    does a squared factor beyond the float range (float ** 2 raises
+    OverflowError where numpy would return inf).
+    """
+    try:
+        e13, e2, denom = _field_components(x1, x2, x3, x4, b, c)
+    except OverflowError:
+        raise FieldSingularError("field denominator overflows") from None
+    if denom == 0.0:
+        raise FieldSingularError("field denominator vanishes")
+    return denom, (
+        x3 * x4 * e13 / denom,
+        (1 - x1) * x4 * e2 / denom,
+        -(x1 - 1) * x4 * e13 / denom,
+        -(1 - x1) * (x2 - 1) * e2 / denom,
+    )
 
 
 def _field_raw(x, b, c):
@@ -234,49 +258,82 @@ class Trajectory:
         return self.states[-1]
 
 
-def _interior(x: np.ndarray) -> bool:
-    return bool(np.all(x >= _BOUNDARY_LO) and np.all(x <= _BOUNDARY_HI))
+def _interior(x) -> bool:
+    # Chained comparisons are False for NaN, so NaN states count as exits.
+    return all(_BOUNDARY_LO <= v <= _BOUNDARY_HI for v in x)
 
 
-def _rk4_step(x, dt, b, c):
-    k1 = _field_raw(x, b, c)
-    k2 = _field_raw(x + 0.5 * dt * k1, b, c)
-    k3 = _field_raw(x + 0.5 * dt * k2, b, c)
-    k4 = _field_raw(x + dt * k3, b, c)
+def _rk4_step(rates, x, dt):
+    """One classical RK4 step on numpy arrays (broadcasts over batches)."""
+    k1 = rates(x)
+    k2 = rates(x + 0.5 * dt * k1)
+    k3 = rates(x + 0.5 * dt * k2)
+    k4 = rates(x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_tuple(rates, y, dt, k1):
+    """One classical RK4 step on a tuple of floats; k1 is rates(y).
+
+    Same arithmetic as _rk4_step, element by element, without numpy's
+    per-call overhead on short states. The caller evaluates k1 so it can
+    inspect the start-of-step field before stepping.
+    """
+    half = 0.5 * dt
+    k2 = rates(tuple(v + half * k for v, k in zip(y, k1)))
+    k3 = rates(tuple(v + half * k for v, k in zip(y, k2)))
+    k4 = rates(tuple(v + dt * k for v, k in zip(y, k3)))
+    sixth = dt / 6.0
+    return tuple(
+        v + sixth * (a + 2.0 * p + 2.0 * q + r)
+        for v, a, p, q, r in zip(y, k1, k2, k3, k4)
+    )
+
+
+def _cube_step(params):
+    """Memory-1 RK4 step on tuples, guarded by the start-of-step denominator."""
+    b, c = params.b, params.c
+
+    def rates(y):
+        return _field_scalar(*y, b, c)[1]
+
+    def step(x, dt):
+        denom, k1 = _field_scalar(*x, b, c)
+        if abs(denom) < _DENOMINATOR_TOL:
+            raise FieldSingularError("field denominator vanishes")
+        return _rk4_tuple(rates, x, dt, k1)
+
+    return step
 
 
 def _integrate_rk4(x0, params, t_final, dt):
     n_steps = max(1, int(round(t_final / dt)))
-    d = x0.size
-    use_closed = d == 4
+    if x0.size == 4:
+        x, step, caught = tuple(x0.tolist()), _cube_step(params), FieldSingularError
+    else:
+        # field_numeric raises ValueError once a stage leaves its stencil room.
+        x, caught = x0.copy(), (FieldSingularError, ValueError)
+        step = partial(_rk4_step, lambda y: field_numeric(y, params))
     times = [0.0]
-    states = [x0.copy()]
-    x = x0.copy()
+    states = [x]
     status = "completed"
     for k in range(1, n_steps + 1):
         try:
-            if use_closed:
-                _ = field_closed_form(x, params)  # singularity guard per step
-                x = _rk4_step(x, dt, params.b, params.c)
-            else:
-                k1 = field_numeric(x, params)
-                k2 = field_numeric(x + 0.5 * dt * k1, params)
-                k3 = field_numeric(x + 0.5 * dt * k2, params)
-                k4 = field_numeric(x + dt * k3, params)
-                x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        except (FieldSingularError, ValueError):
+            x = step(x, dt)
+        except caught:
             status = "singular"
             break
         if not _interior(x):
             status = "boundary"
             break
         times.append(k * dt)
-        states.append(x.copy())
-    return Trajectory(np.asarray(times), np.asarray(states), status)
+        states.append(x)
+    return Trajectory(np.asarray(times), np.asarray(states, dtype=float), status)
 
 
 def _integrate_rk45(x0, params, t_final):
+    from scipy.integrate import solve_ivp  # loaded only when rk45 is asked for
+
     def rhs(_t, y):
         return field_closed_form(y, params) if y.size == 4 else field_numeric(y, params)
 
@@ -306,6 +363,14 @@ def _integrate_rk45(x0, params, t_final):
     return Trajectory(times, states, "completed" if sol.success else "singular")
 
 
+def _check_times(t_final: float, dt: float) -> None:
+    """Reject a horizon or step that is not a finite positive number."""
+    if not (math.isfinite(t_final) and t_final > 0.0):
+        raise ValueError(f"final time must be finite and positive; got {t_final!r}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"step must be finite and positive; got {dt!r}")
+
+
 def integrate(
     x0, params: PayoffParams, t_final: float, dt: float = 1e-3, method: str = "rk4"
 ) -> Trajectory:
@@ -315,13 +380,13 @@ def integrate(
     Dormand-Prince at relative tolerance 1e-9 (solver-chosen steps).
     Integration halts, without recording the exiting state, when any
     coordinate leaves [1e-9, 1-1e-9]: clamping would silently break the
-    conserved quantities.
+    conserved quantities. Raises ValueError for a start outside that
+    range, or unless t_final and dt are finite and positive.
     """
     x0 = np.asarray(x0, dtype=float)
     if not _interior(x0):
         raise ValueError("initial state must be interior")
-    if t_final <= 0:
-        raise ValueError("final time must be positive")
+    _check_times(t_final, dt)
     if method == "rk4":
         return _integrate_rk4(x0, params, t_final, dt)
     if method == "rk45":
@@ -342,9 +407,13 @@ def conservation_drift(
     x = np.array(x0_batch, dtype=float)
     if x.ndim != 2 or x.shape[1] != 4:
         raise ValueError("x0_batch must have shape (n, 4)")
-    if not _interior(x):
+    if not _interior(x.ravel()):
         raise ValueError("initial states must be interior")
     b, c = params.b, params.c
+
+    def rates(y):
+        return _field_raw(y, b, c)
+
     f1_0 = (x[:, 0] - 1.0) ** 2 + x[:, 2] ** 2
     f2_0 = (x[:, 1] - 1.0) ** 2 + x[:, 3] ** 2
     drift1 = np.zeros(x.shape[0])
@@ -354,7 +423,7 @@ def conservation_drift(
     for _ in range(n_steps):
         if not active.any():
             break
-        stepped = _rk4_step(x[active], dt, b, c)
+        stepped = _rk4_step(rates, x[active], dt)
         inside = np.all((stepped >= _BOUNDARY_LO) & (stepped <= _BOUNDARY_HI), axis=1)
         idx = np.flatnonzero(active)
         x[idx[inside]] = stepped[inside]

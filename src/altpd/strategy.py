@@ -16,6 +16,7 @@ Encoding contract used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -154,7 +155,8 @@ class Strategy:
             memory += 1
         if memory < 1:
             raise ValueError("strategy length must be 4^N with N >= 1")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
+        # One reduction that is also False for NaN entries.
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):
             raise ValueError("strategy entries must lie in [0, 1]")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
@@ -213,8 +215,8 @@ class PayoffParams:
     c: float = 0.3
 
     def __post_init__(self):
-        if not 0.0 < self.c < self.b:
-            raise ValueError("donation parameters require 0 < c < b")
+        if not 0.0 < self.c < self.b < math.inf:
+            raise ValueError("donation parameters require 0 < c < b, b finite")
 
     @property
     def r(self) -> float:

@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .dynamics import field_closed_form
+from .dynamics import _check_times, _field_scalar, _rk4_tuple
 from .errors import (
     DegenerateTorusError,
     FieldSingularError,
@@ -56,7 +55,8 @@ _ANGLE_DEDUPE_TOL = 1e-7
 
 
 def _wrap(angle: float) -> float:
-    return float(np.mod(angle, _TWO_PI))
+    # float % equals np.mod here (same sign rule); the result lies in [0, 2pi].
+    return float(angle) % _TWO_PI
 
 
 @dataclass(frozen=True)
@@ -170,13 +170,38 @@ def toric_denominator(phi, psi, level: TorusLevel):
     exact because A carries the factor C1 C2 on the torus, so G stays
     finite on degenerate tori. Accepts scalars or arrays.
     """
-    s1, c1 = np.sin(phi), np.cos(phi)
-    s2, c2 = np.sin(psi), np.cos(psi)
-    u = math.sqrt(level.c1)
-    v = math.sqrt(level.c2)
+    return _toric_denominator_trig(
+        np.sin(phi), np.cos(phi), np.sin(psi), np.cos(psi),
+        math.sqrt(level.c1), math.sqrt(level.c2),
+    )
+
+
+def _toric_denominator_trig(s1, c1, s2, c2, u, v):
     first = 2.0 * v * s2 + u * (v * s1 * s2 - 2.0 * c1 - 2.0 * v * c1 * s2 + v * c1 * c2)
     second = s1 * (s2 - 2.0 * c2) + c1 * c2
     return 4.0 * first * second**2
+
+
+def _angle_rates(phi, psi, u, v, b, c):
+    """(phi_dot, psi_dot) at wrapped angles on the torus of radii (u, v).
+
+    Maps the angles to the cube, evaluates the scalar memory-1 kernel
+    there and pushes the field forward. Raises ToricDenominatorError where
+    the toric denominator or the cube denominator falls below 1e-14.
+    """
+    s1, c1 = math.sin(phi), math.cos(phi)
+    s2, c2 = math.sin(psi), math.cos(psi)
+    if abs(_toric_denominator_trig(s1, c1, s2, c2, u, v)) < _DENOMINATOR_TOL:
+        raise ToricDenominatorError("toric denominator vanishes")
+    try:
+        denom, (g1, g2, g3, g4) = _field_scalar(
+            1.0 + u * s1, 1.0 + v * s2, u * c1, v * c2, b, c
+        )
+    except FieldSingularError:
+        raise ToricDenominatorError("toric denominator vanishes") from None
+    if abs(denom) < _DENOMINATOR_TOL:
+        raise ToricDenominatorError("toric denominator vanishes")
+    return (c1 * g1 - s1 * g3) / u, (c2 * g2 - s2 * g4) / v
 
 
 def torus_field(pt: TorusPoint, params: PayoffParams) -> tuple:
@@ -186,18 +211,10 @@ def torus_field(pt: TorusPoint, params: PayoffParams) -> tuple:
     4/(C1 C2), so a cube-side singularity that slips between the two
     absolute thresholds is reported as the same toric degeneracy.
     """
-    g = toric_denominator(pt.phi, pt.psi, pt.level)
-    if abs(g) < _DENOMINATOR_TOL:
-        raise ToricDenominatorError("toric denominator vanishes")
-    x = to_cube(pt)
-    try:
-        xdot = field_closed_form(x, params)
-    except FieldSingularError:
-        raise ToricDenominatorError("toric denominator vanishes") from None
-    s1, c1, s2, c2, u, v = _trig(pt)
-    phi_dot = (c1 * xdot[0] - s1 * xdot[2]) / u
-    psi_dot = (c2 * xdot[1] - s2 * xdot[3]) / v
-    return float(phi_dot), float(psi_dot)
+    return _angle_rates(
+        pt.phi, pt.psi, math.sqrt(pt.level.c1), math.sqrt(pt.level.c2),
+        params.b, params.c,
+    )
 
 
 def _e13_on_torus(s1, c1, s2, c2, u, v, c):
@@ -280,14 +297,16 @@ def slow_coefficient(phi, psi, level: TorusLevel, params: PayoffParams):
 def averaged_slow_field(psi: float, level: TorusLevel, params: PayoffParams) -> float:
     """Integral of the slow coefficient over one full phi-revolution.
 
-    Composite Simpson on 1024 panels; the exact value is
-    2 pi sqrt(C2) ((C+1) cos(psi) - C sin(psi)), so a nonzero result means
-    the slow psi-drift does not stall and the motion is aperiodic.
+    Periodic trapezoid rule on 1024 equispaced points; the integrand is a
+    trigonometric polynomial in phi, for which this rule is exact to
+    roundoff. The exact value is 2 pi sqrt(C2) ((C+1) cos(psi) - C sin(psi)),
+    so a nonzero result means the slow psi-drift does not stall and the
+    motion is aperiodic.
     """
-    n_panels = 1024
-    grid = np.linspace(0.0, _TWO_PI, n_panels + 1)
+    n_points = 1024
+    grid = np.linspace(0.0, _TWO_PI, n_points, endpoint=False)
     values = slow_coefficient(grid, psi, level, params)
-    return float(simpson(values, x=grid))
+    return float(np.sum(values) * (_TWO_PI / n_points))
 
 
 def _psi_candidates(level: TorusLevel, c: float) -> list:
@@ -362,32 +381,29 @@ def torus_trajectory(
     Returns (times, angle array of shape (n, 2), status); status is
     "singular" if the toric denominator vanished mid-run, else
     "completed". Angles are left unwrapped so paths are continuous.
+    Raises ValueError unless t_final and dt are finite and positive.
     """
-    level = pt.level
+    _check_times(t_final, dt)
+    u, v = math.sqrt(pt.level.c1), math.sqrt(pt.level.c2)
+    b, c = params.b, params.c
 
-    def rhs(angles):
-        return np.array(
-            torus_field(TorusPoint(angles[0], angles[1], level), params)
-        )
+    def rates(angles):
+        return _angle_rates(_wrap(angles[0]), _wrap(angles[1]), u, v, b, c)
 
-    y = np.array([pt.phi, pt.psi])
+    y = (pt.phi, pt.psi)
     times = [0.0]
-    path = [y.copy()]
+    path = [y]
     status = "completed"
     n_steps = max(1, int(round(t_final / dt)))
     for k in range(1, n_steps + 1):
         try:
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * dt * k1)
-            k3 = rhs(y + 0.5 * dt * k2)
-            k4 = rhs(y + dt * k3)
+            y = _rk4_tuple(rates, y, dt, rates(y))
         except ToricDenominatorError:
             status = "singular"
             break
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         times.append(k * dt)
-        path.append(y.copy())
-    return np.asarray(times), np.asarray(path), status
+        path.append(y)
+    return np.asarray(times), np.asarray(path, dtype=float), status
 
 
 def field_grid(level: TorusLevel, params: PayoffParams, resolution: int = 40):
@@ -402,9 +418,10 @@ def field_grid(level: TorusLevel, params: PayoffParams, resolution: int = 40):
     psi_flat = psi_grid.ravel()
     fphi = np.empty(phi_flat.size)
     fpsi = np.empty(phi_flat.size)
-    for i, (ph, ps) in enumerate(zip(phi_flat, psi_flat)):
+    u, v = math.sqrt(level.c1), math.sqrt(level.c2)
+    for i, (ph, ps) in enumerate(zip(phi_flat.tolist(), psi_flat.tolist())):
         try:
-            fphi[i], fpsi[i] = torus_field(TorusPoint(ph, ps, level), params)
+            fphi[i], fpsi[i] = _angle_rates(ph, ps, u, v, params.b, params.c)
         except ToricDenominatorError:
             fphi[i] = fpsi[i] = math.nan
     return phi_flat, psi_flat, fphi, fpsi

@@ -350,6 +350,34 @@ class TestConfigAndErrors:
         assert code == 64
         assert err
 
+    def test_nan_strategy_is_named_usage_error(self, capsys):
+        code, _, err = run_cli(
+            ["matrix", "--p", "nan,0.5,0.5,0.5", "--q", "allc"], capsys
+        )
+        assert code == 64
+        assert "--p" in err and "strategy" in err
+        assert "SVD" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--dt", "inf"], ["--dt", "nan"], ["--t", "inf"], ["--t", "nan"],
+         ["--dt=-1e-3"], ["--dt", "0"]],
+    )
+    def test_non_finite_times_exit_64(self, capsys, flags):
+        code, _, err = run_cli(
+            ["integrate", "--p", "0.62,0.35,0.3,0.45", *flags], capsys
+        )
+        assert code == 64
+        assert "t and dt" in err
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        probe = "import sys, altpd.cli; print('scipy.integrate' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_degenerate_chain_exits_2(self, capsys):
         code, _, err = run_cli(
             ["matrix", "--n", "1", "--p", "1,0.5,0.5,0", "--q", "1,0.5,0.5,0"],

@@ -1,9 +1,13 @@
 """Memory-1 adaptive dynamics: field, flow, conservation, stability."""
 
+import math
+
 import numpy as np
 import pytest
 
 from altpd.dynamics import (
+    _field_scalar,
+    _interior,
     classify_equilibrium,
     conservation_drift,
     equilibrium_families,
@@ -164,6 +168,79 @@ def test_reversed_trajectory_retraces_the_mirror():
     mirrored = win_loss_exchange(forward.states[::-1])
     assert back.states.shape == mirrored.shape
     assert np.max(np.abs(back.states - mirrored)) < 1e-6
+
+
+def _reference_rk4(x0, params, t_final, dt):
+    """Fixed-step RK4 through field_closed_form on numpy arrays.
+
+    Returns (states, status) with the integrator's halting rules: stop
+    before a state leaving [1e-9, 1-1e-9], or on a vanishing denominator.
+    """
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    for _ in range(int(round(t_final / dt))):
+        try:
+            k1 = field_closed_form(x, params)
+            k2 = field_closed_form(x + 0.5 * dt * k1, params)
+            k3 = field_closed_form(x + 0.5 * dt * k2, params)
+            k4 = field_closed_form(x + dt * k3, params)
+        except FieldSingularError:
+            return np.asarray(states), "singular"
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not (np.all(x >= 1e-9) and np.all(x <= 1.0 - 1e-9)):
+            return np.asarray(states), "boundary"
+        states.append(x)
+    return np.asarray(states), "completed"
+
+
+def test_scalar_kernel_reproduces_the_numpy_route_bit_for_bit():
+    rng = np.random.default_rng(21)
+    statuses = []
+    for _ in range(24):
+        params = PayoffParams(1.0, rng.uniform(0.1, 0.9))
+        x0 = rng.uniform(0.02, 0.98, 4)
+        trajectory = integrate(x0, params, 2.0, dt=1e-2, method="rk4")
+        states, status = _reference_rk4(x0, params, 2.0, 1e-2)
+        assert trajectory.status == status
+        assert np.array_equal(trajectory.states, states)
+        assert np.array_equal(trajectory.times, np.arange(len(states)) * 1e-2)
+        statuses.append(status)
+    assert statuses.count("boundary") >= 3 and statuses.count("completed") >= 3
+
+
+def test_scalar_kernel_names_exact_zero_and_overflow():
+    # A zero denominator must not surface as ZeroDivisionError, nor an
+    # out-of-range square as OverflowError.
+    with pytest.raises(FieldSingularError):
+        _field_scalar(1.0, 1.0, 0.0, 0.0, 1.0, 0.3)
+    with pytest.raises(FieldSingularError):
+        _field_scalar(1e200, 0.5, 0.5, 0.5, 1.0, 0.3)
+
+
+def test_nan_state_is_not_interior():
+    assert _interior((0.5, 0.5, 0.5, 0.5))
+    for k in range(4):
+        state = [0.5, 0.5, 0.5, 0.5]
+        state[k] = math.nan
+        assert not _interior(tuple(state))
+
+
+@pytest.mark.parametrize(
+    "t_final, dt",
+    [
+        (1.0, math.inf),
+        (1.0, math.nan),
+        (1.0, -1e-3),
+        (1.0, 0.0),
+        (math.inf, 1e-3),
+        (math.nan, 1e-3),
+        (-1.0, 1e-3),
+    ],
+)
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_bad_step_sizes_rejected(t_final, dt, method):
+    with pytest.raises(ValueError):
+        integrate(np.array([0.62, 0.35, 0.3, 0.45]), PARAMS, t_final, dt=dt, method=method)
 
 
 def test_interior_start_required():

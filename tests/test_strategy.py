@@ -93,6 +93,12 @@ def test_strategy_checks_shape_and_range():
         Strategy(np.full((2, 2), 0.5))
 
 
+def test_strategy_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            Strategy(np.array([bad, 0.5, 0.5, 0.5]))
+
+
 def test_strategy_memory_inferred_from_length():
     assert Strategy(np.full(4, 0.5)).memory == 1
     assert Strategy(np.full(16, 0.5)).memory == 2
@@ -127,6 +133,12 @@ def test_payoff_params_require_positive_gain():
         PayoffParams(b=0.3, c=0.3)
     with pytest.raises(ValueError):
         PayoffParams(b=1.0, c=0.0)
+
+
+def test_payoff_params_require_finite_values():
+    for b, c in [(np.inf, 0.3), (np.nan, 0.3), (1.0, np.nan), (np.inf, np.inf)]:
+        with pytest.raises(ValueError):
+            PayoffParams(b=b, c=c)
 
 
 def test_equal_gains_identity():

@@ -5,8 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from altpd.dynamics import integrate, interior_plane_point, invariants
-from altpd.errors import DegenerateTorusError, ToricDenominatorError
+from altpd.dynamics import (
+    field_closed_form,
+    integrate,
+    interior_plane_point,
+    invariants,
+)
+from altpd.errors import (
+    DegenerateTorusError,
+    FieldSingularError,
+    ToricDenominatorError,
+)
 from altpd.strategy import PayoffParams
 from altpd.torus import (
     AdmissibleRectangle,
@@ -50,10 +59,55 @@ def random_admissible_point(rng, level, margin=0.02):
     return TorusPoint(phi, psi, level)
 
 
+def reference_rates(phi, psi, level, params):
+    """Angle rates through to_cube and field_closed_form on numpy arrays."""
+    pt = TorusPoint(phi, psi, level)
+    if abs(toric_denominator(pt.phi, pt.psi, level)) < 1e-14:
+        raise ToricDenominatorError("toric denominator vanishes")
+    try:
+        xdot = field_closed_form(to_cube(pt), params)
+    except FieldSingularError:
+        raise ToricDenominatorError("cube denominator vanishes") from None
+    return np.array(
+        [
+            (math.cos(pt.phi) * xdot[0] - math.sin(pt.phi) * xdot[2])
+            / math.sqrt(level.c1),
+            (math.cos(pt.psi) * xdot[1] - math.sin(pt.psi) * xdot[3])
+            / math.sqrt(level.c2),
+        ]
+    )
+
+
+def reference_trajectory(pt, params, t_final, dt):
+    """Fixed-step RK4 on the angle array with reference_rates."""
+    y = np.array([pt.phi, pt.psi])
+    path = [y]
+
+    def rates(angles):
+        return reference_rates(angles[0], angles[1], pt.level, params)
+
+    for _ in range(int(round(t_final / dt))):
+        try:
+            k1 = rates(y)
+            k2 = rates(y + 0.5 * dt * k1)
+            k3 = rates(y + 0.5 * dt * k2)
+            k4 = rates(y + dt * k3)
+        except ToricDenominatorError:
+            return np.asarray(path), "singular"
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        path.append(y)
+    return np.asarray(path), "completed"
+
+
 class TestLevelAndPoint:
     def test_level_bounds(self):
         TorusLevel(2.0, 1e-9)
         for c1, c2 in [(0.0, 0.5), (0.5, 0.0), (2.0001, 0.5), (0.5, -0.1)]:
+            with pytest.raises(ValueError):
+                TorusLevel(c1, c2)
+
+    def test_level_rejects_non_finite_values(self):
+        for c1, c2 in [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.5, -math.inf)]:
             with pytest.raises(ValueError):
                 TorusLevel(c1, c2)
 
@@ -426,7 +480,57 @@ class TestTrajectory:
         assert times.shape == (1,)
 
 
+    def test_reproduces_the_numpy_route_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        # The first start sits on the G = 0 curve; a third of the rest
+        # start anywhere on the torus, the others inside the rectangle.
+        singular = TorusPoint(0.0, math.pi / 2, TorusLevel(0.5, 0.5))
+        starts = [(PayoffParams(1.0, 0.3), singular)]
+        for k in range(23):
+            params = PayoffParams(1.0, rng.uniform(0.1, 0.9))
+            level = TorusLevel(rng.uniform(0.05, 1.95), rng.uniform(0.05, 1.95))
+            if k % 3:
+                pt = random_admissible_point(rng, level)
+            else:
+                pt = TorusPoint(*rng.uniform(0.0, TWO_PI, 2), level)
+            starts.append((params, pt))
+        statuses = []
+        for params, pt in starts:
+            times, path, status = torus_trajectory(pt, params, 1.0, dt=1e-2)
+            want, want_status = reference_trajectory(pt, params, 1.0, 1e-2)
+            assert status == want_status
+            assert np.array_equal(path, want)
+            assert np.array_equal(times, np.arange(len(want)) * 1e-2)
+            statuses.append(status)
+        assert statuses.count("singular") >= 1 and statuses.count("completed") >= 20
+
+    @pytest.mark.parametrize(
+        "t_final, dt",
+        [(1.0, math.inf), (1.0, math.nan), (1.0, -1e-3), (1.0, 0.0),
+         (math.inf, 1e-3), (math.nan, 1e-3), (-1.0, 1e-3)],
+    )
+    def test_bad_step_sizes_rejected(self, t_final, dt):
+        pt = TorusPoint(5.6, 5.2, TorusLevel(*PANEL_A[1:]))
+        with pytest.raises(ValueError):
+            torus_trajectory(pt, PayoffParams(1.0, PANEL_A[0]), t_final, dt=dt)
+
+
 class TestGridExports:
+    def test_field_grid_matches_pointwise_pushforward(self):
+        c, c1, c2 = PANEL_B
+        params = PayoffParams(1.0, c)
+        level = TorusLevel(c1, c2)
+        phi, psi, f1, f2 = field_grid(level, params, resolution=40)
+        want = np.empty((phi.size, 2))
+        for k in range(phi.size):
+            try:
+                want[k] = reference_rates(phi[k], psi[k], level, params)
+            except ToricDenominatorError:
+                want[k] = math.nan
+        assert np.isnan(want[:, 0]).any()
+        assert np.array_equal(f1, want[:, 0], equal_nan=True)
+        assert np.array_equal(f2, want[:, 1], equal_nan=True)
+
     def test_field_grid_shapes_and_masking(self):
         c, c1, c2 = PANEL_B
         params = PayoffParams(1.0, c)
