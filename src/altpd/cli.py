@@ -2,18 +2,17 @@
 
 Every output embeds the effective run configuration (CSV files as a
 one-line JSON comment, JSON files under a "config" key) and all floats
-are printed with 17 significant digits so runs can be reproduced and
-compared bit-for-bit. Exit codes: 0 success, 1 verification failure,
-2 mathematical degeneracy, 64 usage error.
+are printed as their shortest round-trip repr, so runs can be reproduced
+and compared bit-for-bit. Exit codes: 0 success, 1 verification failure
+or closed output pipe, 2 mathematical degeneracy, 64 usage error.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,102 +41,67 @@ from .verify import run_suite
 
 __all__ = ["RunConfig", "main"]
 
-_DEFAULTS = {
-    "b": 1.0,
-    "c": 0.3,
-    "n": 1,
-    "t": 10.0,
-    "dt": 1e-3,
-    "method": "rk4",
-    "seed": 0,
-    "rounds": 1_000_000,
-    "c1": 0.5,
-    "c2": 0.5,
-    "grid": 40,
-    "format": None,
-    "out": None,
-    "p": None,
-    "q": None,
-}
 
-_CASTS = {
-    "b": float,
-    "c": float,
-    "n": int,
-    "t": float,
-    "dt": float,
-    "method": str,
-    "seed": int,
-    "rounds": int,
-    "c1": float,
-    "c2": float,
-    "grid": int,
-    "format": str,
-    "out": str,
-    "p": str,
-    "q": str,
-}
+def _option(default, help_text):
+    return field(default=default, metadata={"help": help_text})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Effective parameters of one command run, after merging defaults,
-    config file, and flags (flags win)."""
+    config file, and flags (flags win).
+
+    The one option table: every field but `command` is a `--flag` and a
+    config-file key of the same name, parsed with the field's type (so the
+    annotations must stay real types, not strings).
+    """
 
     command: str
-    b: float
-    c: float
-    memory: int
-    t_final: float
-    dt: float
-    method: str
-    seed: int
-    rounds: int
-    c1: float
-    c2: float
-    grid: int
-    format: str
-    out: str
-    p: str
-    q: str
+    b: float = _option(1.0, "benefit of receiving a donation")
+    c: float = _option(0.3, "cost of making a donation")
+    n: int = _option(1, "memory length (1, 2, or 3)")
+    t: float = _option(10.0, "integration horizon")
+    dt: float = _option(1e-3, "integrator step")
+    method: str = _option("rk4", "integrator: rk4 or rk45")
+    seed: int = _option(0, "random seed")
+    c1: float = _option(0.5, "first invariant level")
+    c2: float = _option(0.5, "second invariant level")
+    grid: int = _option(40, "field grid resolution")
+    p: str = _option(None, "leader strategy: floats, allc, alld, tft, random:SEED")
+    q: str = _option(None, "follower strategy, same forms as --p")
+    format: str = _option(
+        None, "output format: csv or json (default: json for matrix, else csv)"
+    )
+    out: str = _option(None, "output path (matrix/integrate) or prefix (torus)")
 
     def validate(self) -> None:
         if not 0.0 < self.c < self.b:
             raise ValueError("costs must satisfy 0 < c < b")
-        if self.memory not in (1, 2, 3):
+        if self.n not in (1, 2, 3):
             raise ValueError("memory must be 1, 2, or 3")
-        if not (0.0 < self.t_final < math.inf and 0.0 < self.dt < math.inf):
+        if not (0.0 < self.t < math.inf and 0.0 < self.dt < math.inf):
             raise ValueError("t and dt must be finite and positive")
         if self.method not in ("rk4", "rk45"):
             raise ValueError("method must be rk4 or rk45")
-        if self.rounds < 1:
-            raise ValueError("rounds must be positive")
         if self.grid < 2:
             raise ValueError("grid must be at least 2")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 
     def to_dict(self) -> dict:
+        """Provenance: every field except where the output went."""
         return {
-            "command": self.command,
-            "b": self.b,
-            "c": self.c,
-            "n": self.memory,
-            "t": self.t_final,
-            "dt": self.dt,
-            "method": self.method,
-            "seed": self.seed,
-            "rounds": self.rounds,
-            "c1": self.c1,
-            "c2": self.c2,
-            "grid": self.grid,
-            "p": self.p,
-            "q": self.q,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("format", "out")
         }
 
     @property
     def params(self) -> PayoffParams:
         return PayoffParams(b=self.b, c=self.c)
+
+
+_OPTIONS = [f for f in fields(RunConfig) if f.name != "command"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,6 +115,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_config_file(path: str) -> dict:
     """Flat key-value config: one `name = value` (or `name value`) per line,
     names matching the long flags, `#` starts a comment."""
+    types = {f.name: f.type for f in _OPTIONS}
     values = {}
     try:
         text = Path(path).read_text()
@@ -165,43 +130,23 @@ def _read_config_file(path: str) -> dict:
         else:
             key, _, value = line.partition(" ")
         key = key.strip().lstrip("-").replace("-", "_")
-        if key not in _CASTS:
+        if key not in types:
             raise ValueError(f"unknown config key: {key}")
         try:
-            values[key] = _CASTS[key](value.strip())
+            values[key] = types[key](value.strip())
         except ValueError:
             raise ValueError(f"bad value for config key {key}: {value.strip()!r}")
     return values
 
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
-    if args.config:
-        merged.update(_read_config_file(args.config))
-    for key, cast in _CASTS.items():
-        value = getattr(args, key, None)
+    merged = _read_config_file(args.config) if args.config else {}
+    for f in _OPTIONS:
+        value = getattr(args, f.name)
         if value is not None:
-            merged[key] = cast(value)
-    if merged["format"] is None:
-        merged["format"] = "json" if args.command == "matrix" else "csv"
-    config = RunConfig(
-        command=args.command,
-        b=merged["b"],
-        c=merged["c"],
-        memory=merged["n"],
-        t_final=merged["t"],
-        dt=merged["dt"],
-        method=merged["method"],
-        seed=merged["seed"],
-        rounds=merged["rounds"],
-        c1=merged["c1"],
-        c2=merged["c2"],
-        grid=merged["grid"],
-        format=merged["format"],
-        out=merged["out"],
-        p=merged["p"],
-        q=merged["q"],
-    )
+            merged[f.name] = value
+    merged.setdefault("format", "json" if args.command == "matrix" else "csv")
+    config = RunConfig(command=args.command, **merged)
     config.validate()
     return config
 
@@ -216,8 +161,13 @@ def _parse_strategy(text: str, memory: int, flag: str) -> Strategy:
     if text == "tft":
         return tit_for_tat(memory)
     if text.startswith("random:"):
-        seed = int(text.partition(":")[2])
-        return random_strategy(memory, np.random.default_rng(seed))
+        try:
+            rng = np.random.default_rng(int(text[len("random:"):]))
+        except ValueError:
+            raise ValueError(
+                f"--{flag}: random strategy needs a non-negative integer seed"
+            ) from None
+        return random_strategy(memory, rng)
     try:
         values = [float(token) for token in text.split(",")]
     except ValueError:
@@ -232,49 +182,29 @@ def _parse_strategy(text: str, memory: int, flag: str) -> Strategy:
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return repr(float(x))
 
 
-def _json_value(value, indent: int) -> str:
-    pad = " " * indent
-    inner = " " * (indent + 2)
+def _plain(value):
+    """Copy of value that json can encode: numpy scalars and arrays become
+    Python values and lists, and non-finite floats become None (null)."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {_json_value(v, indent + 2)}"
-            for k, v in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
+        return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(f"{inner}{_json_value(v, indent + 2)}" for v in value)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt(value) if math.isfinite(value) else "null"
-    if value is None:
-        return "null"
-    return json.dumps(str(value))
+        return [_plain(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _json_pretty(value) -> str:
-    return _json_value(value, 0) + "\n"
+    return json.dumps(_plain(value), indent=2) + "\n"
 
 
 def _json_compact(value) -> str:
-    if isinstance(value, dict):
-        items = ", ".join(
-            f"{json.dumps(str(k))}: {_json_compact(v)}" for k, v in value.items()
-        )
-        return "{" + items + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_compact(v) for v in value) + "]"
-    return _json_value(value, 0)
+    return json.dumps(_plain(value))
 
 
 def _csv_text(provenance: dict, header: list, rows) -> str:
@@ -285,7 +215,7 @@ def _csv_text(provenance: dict, header: list, rows) -> str:
 
 
 def _cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return _fmt(value)
     return str(value)
 
@@ -299,12 +229,12 @@ def _write(path: str, text: str) -> None:
 
 def _run_matrix(config: RunConfig) -> int:
     params = config.params
-    p = _parse_strategy(config.p, config.memory, "p")
-    q = _parse_strategy(config.q, config.memory, "q")
+    p = _parse_strategy(config.p, config.n, "p")
+    q = _parse_strategy(config.q, config.n, "q")
     matrix = build_matrix_direct(p, q)
     nu = stationary(matrix)
     irreducible = is_irreducible(matrix)
-    f = build_payoff_vector(params, config.memory)
+    f = build_payoff_vector(params, config.n)
     labels = matrix.state_labels()
     results = {
         "payoff_determinant": payoff_by_determinant(p, q, params, matrix),
@@ -318,11 +248,11 @@ def _run_matrix(config: RunConfig) -> int:
     if config.format == "json":
         payload = {
             "config": config.to_dict(),
-            "p": list(p.probs),
-            "q": list(q.probs),
+            "p": p.probs,
+            "q": q.probs,
             "state_labels": labels,
-            "matrix": [list(row) for row in matrix.entries],
-            "stationary": list(nu),
+            "matrix": matrix.entries,
+            "stationary": nu,
             **results,
         }
         _write(config.out, _json_pretty(payload))
@@ -341,26 +271,21 @@ def _run_matrix(config: RunConfig) -> int:
 
 def _run_integrate(config: RunConfig) -> int:
     params = config.params
-    x0 = _parse_strategy(config.p, config.memory, "p").probs
-    trajectory = integrate(
-        x0, params, config.t_final, dt=config.dt, method=config.method
-    )
+    x0 = _parse_strategy(config.p, config.n, "p").probs
+    trajectory = integrate(x0, params, config.t, dt=config.dt, method=config.method)
     states = trajectory.states
-    memory_one = states.shape[1] == 4
-    if memory_one:
+    columns = [trajectory.times, states]
+    if states.shape[1] == 4:
         pair = invariants(states)
         f1, f2 = np.asarray(pair.f1), np.asarray(pair.f2)
         drift1 = float(np.max(np.abs(f1 - f1[0])))
         drift2 = float(np.max(np.abs(f2 - f2[0])))
         header = ["t", "p1", "p2", "p3", "p4", "F1", "F2"]
-        rows = (
-            [trajectory.times[k], *states[k], f1[k], f2[k]]
-            for k in range(states.shape[0])
-        )
+        columns += [f1, f2]
     else:
         drift1 = drift2 = math.nan
         header = ["t"] + [f"x{i + 1}" for i in range(states.shape[1])]
-        rows = ([trajectory.times[k], *states[k]] for k in range(states.shape[0]))
+    rows = np.column_stack(columns).tolist()
     summary = {
         "config": config.to_dict(),
         "status": trajectory.status,
@@ -368,21 +293,16 @@ def _run_integrate(config: RunConfig) -> int:
         "t_reached": float(trajectory.times[-1]),
         "max_drift_f1": drift1,
         "max_drift_f2": drift2,
-        "final_state": list(trajectory.final),
+        "final_state": trajectory.final,
     }
-    text = _csv_text(config.to_dict(), header, rows)
     if config.format == "json":
-        states_out = [
-            dict(zip(header, (trajectory.times[k], *states[k])))
-            for k in range(states.shape[0])
-        ] if not memory_one else [
-            dict(zip(header, (trajectory.times[k], *states[k], f1[k], f2[k])))
-            for k in range(states.shape[0])
-        ]
+        states_out = [dict(zip(header, row)) for row in rows]
         _write(config.out, _json_pretty({**summary, "trajectory": states_out}))
         if config.out not in (None, "-"):
             sys.stdout.write(_json_pretty(summary))
-    elif config.out in (None, "-"):
+        return 0
+    text = _csv_text(config.to_dict(), header, rows)
+    if config.out in (None, "-"):
         sys.stdout.write(text)
         sys.stdout.write("# summary " + _json_compact(summary) + "\n")
     else:
@@ -400,9 +320,7 @@ def _run_torus(config: RunConfig) -> int:
     provenance = config.to_dict()
 
     phi, psi, fphi, fpsi = field_grid(level, params, resolution=config.grid)
-    field_rows = (
-        [phi[i], psi[i], fphi[i], fpsi[i]] for i in range(phi.size)
-    )
+    field_rows = np.column_stack([phi, psi, fphi, fpsi]).tolist()
     field_path = f"{prefix}_field.csv"
     _write(field_path, _csv_text(provenance, ["phi", "psi", "phi_dot", "psi_dot"], field_rows))
 
@@ -429,7 +347,7 @@ def _run_torus(config: RunConfig) -> int:
             {
                 "phi": pt.phi,
                 "psi": pt.psi,
-                "x": list(x),
+                "x": x,
                 "classification": point.classification,
                 "eigenvalues": [
                     {"re": float(ev.real), "im": float(ev.imag)}
@@ -450,7 +368,7 @@ def _run_torus(config: RunConfig) -> int:
 
 def _run_verify(config: RunConfig, corrupt_payoff: bool) -> int:
     results = run_suite(
-        memory=config.memory,
+        memory=config.n,
         seed=config.seed,
         params=config.params,
         corrupt_payoff=corrupt_payoff,
@@ -471,21 +389,8 @@ def _run_verify(config: RunConfig, corrupt_payoff: bool) -> int:
 
 def _build_parser() -> _Parser:
     shared = _Parser(add_help=False)
-    shared.add_argument("--b", type=float, help="benefit of receiving a donation")
-    shared.add_argument("--c", type=float, help="cost of making a donation")
-    shared.add_argument("--n", type=int, help="memory length (1, 2, or 3)")
-    shared.add_argument("--p", help="leader strategy: floats, allc, alld, tft, random:SEED")
-    shared.add_argument("--q", help="follower strategy, same forms as --p")
-    shared.add_argument("--t", type=float, help="integration horizon")
-    shared.add_argument("--dt", type=float, help="integrator step")
-    shared.add_argument("--method", help="integrator: rk4 or rk45")
-    shared.add_argument("--seed", type=int, help="random seed")
-    shared.add_argument("--rounds", type=int, help="simulated rounds")
-    shared.add_argument("--c1", type=float, help="first invariant level")
-    shared.add_argument("--c2", type=float, help="second invariant level")
-    shared.add_argument("--grid", type=int, help="field grid resolution")
-    shared.add_argument("--out", help="output path (matrix/integrate) or prefix (torus)")
-    shared.add_argument("--format", help="output format: csv or json")
+    for f in _OPTIONS:
+        shared.add_argument(f"--{f.name}", type=f.type, help=f.metadata["help"])
     shared.add_argument("--config", help="flat key-value config file; flags override")
 
     parser = _Parser(
@@ -514,18 +419,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _dispatch(args: argparse.Namespace) -> int:
+    config = _effective_config(args)
+    if args.command == "matrix":
+        return _run_matrix(config)
+    if args.command == "integrate":
+        return _run_integrate(config)
+    if args.command == "torus":
+        return _run_torus(config)
+    return _run_verify(config, getattr(args, "corrupt_payoff", False))
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _effective_config(args)
-        if args.command == "matrix":
-            return _run_matrix(config)
-        if args.command == "integrate":
-            return _run_integrate(config)
-        if args.command == "torus":
-            return _run_torus(config)
-        return _run_verify(config, getattr(args, "corrupt_payoff", False))
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (`altpd integrate ... | head`). Point stdout
+        # at devnull so the exit-time flush cannot fail again; this is the
+        # recipe from the Python `signal` documentation.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DegeneracyError as exc:
         sys.stderr.write(f"degeneracy: {exc}\n")
         return 2

@@ -341,6 +341,8 @@ def _integrate_rk45(x0, params, t_final):
         return min(float(np.min(y)) - _BOUNDARY_LO, _BOUNDARY_HI - float(np.max(y)))
 
     exit_event.terminal = True
+    # field_numeric raises ValueError once a stage leaves its stencil room.
+    caught = FieldSingularError if x0.size == 4 else (FieldSingularError, ValueError)
     try:
         sol = solve_ivp(
             rhs,
@@ -352,7 +354,7 @@ def _integrate_rk45(x0, params, t_final):
             events=exit_event,
             dense_output=False,
         )
-    except (FieldSingularError, ValueError):
+    except caught:
         return Trajectory(np.zeros(1), x0[np.newaxis].copy(), "singular")
     times = sol.t
     states = sol.y.T

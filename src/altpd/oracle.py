@@ -15,7 +15,7 @@ import numpy as np
 
 from .strategy import PayoffParams, Strategy
 
-__all__ = ["SimulationResult", "simulate", "empirical_stationary"]
+__all__ = ["SimulationResult", "simulate"]
 
 _CHUNK = 1 << 16
 
@@ -120,8 +120,3 @@ def _run(rng, p_list, q_list, mask, h, total, state_counts, outcome_counts):
                 state_counts[h] += 1
         done += count
     return h
-
-
-def empirical_stationary(result: SimulationResult) -> np.ndarray:
-    """Observed state occupation frequencies (sums to 1)."""
-    return result.state_frequencies

@@ -127,11 +127,6 @@ def follower_index(history, leader_action) -> int:
     return ((h << 1) | int(a)) & mask
 
 
-def _follower_index_bits(h: int, a: int, mask: int) -> int:
-    # Hot-path variant on raw bits; h is a 2N-bit word, a in {0, 1}.
-    return ((h << 1) | a) & mask
-
-
 @dataclass(frozen=True)
 class Strategy:
     """Vector of cooperation probabilities indexed by history words.

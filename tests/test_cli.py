@@ -5,12 +5,13 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from altpd.chain import build_matrix_direct, stationary
-from altpd.cli import main
+from altpd.cli import RunConfig, main
 from altpd.dynamics import win_loss_exchange
 from altpd.strategy import Strategy, random_strategy
 
@@ -318,6 +319,41 @@ class TestConfigAndErrors:
         assert doc["config"]["seed"] == 5
         assert doc["payoff_determinant"] == pytest.approx(0.55, abs=1e-12)
 
+    # A config-file value and an overriding flag value for every option.
+    OPTION_VALUES = {
+        "b": (2.0, 3.0),
+        "c": (0.4, 0.45),
+        "n": (2, 3),
+        "t": (5.0, 7.0),
+        "dt": (0.01, 0.02),
+        "method": ("rk45", "rk4"),
+        "seed": (5, 6),
+        "c1": (0.25, 0.75),
+        "c2": (0.25, 0.75),
+        "grid": (10, 20),
+        "p": ("random:1", "random:2"),
+        "q": ("random:3", "random:4"),
+    }
+
+    @pytest.mark.parametrize(
+        "option",
+        [f.name for f in fields(RunConfig) if f.name not in ("command", "format", "out")],
+    )
+    def test_every_option_is_read_from_file_and_flag(self, capsys, tmp_path, option):
+        from_file, from_flag = self.OPTION_VALUES[option]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option} = {from_file}\n")
+        argv = ["matrix", "--config", str(cfg)]
+        for flag, preset in (("p", "allc"), ("q", "alld")):
+            if flag != option:
+                argv += [f"--{flag}", preset]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert json.loads(out)["config"][option] == from_file
+        code, out, err = run_cli(argv + [f"--{option}", str(from_flag)], capsys)
+        assert code == 0, err
+        assert json.loads(out)["config"][option] == from_flag
+
     def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("benefit = 2\n")
@@ -343,6 +379,7 @@ class TestConfigAndErrors:
             ["torus", "--b", "2", "--c", "0.3"],
             ["torus", "--c1", "2.5"],
             ["matrix", "--no-such-flag"],
+            ["matrix", "--p", "allc", "--q", "allc", "--rounds", "5"],
         ],
     )
     def test_usage_errors_exit_64(self, capsys, args):
@@ -350,10 +387,12 @@ class TestConfigAndErrors:
         assert code == 64
         assert err
 
-    def test_nan_strategy_is_named_usage_error(self, capsys):
-        code, _, err = run_cli(
-            ["matrix", "--p", "nan,0.5,0.5,0.5", "--q", "allc"], capsys
-        )
+    @pytest.mark.parametrize(
+        "p",
+        ["nan,0.5,0.5,0.5", "random:", "random:abc", "random:1.5", "random:-1"],
+    )
+    def test_nan_strategy_is_named_usage_error(self, capsys, p):
+        code, _, err = run_cli(["matrix", "--p", p, "--q", "allc"], capsys)
         assert code == 64
         assert "--p" in err and "strategy" in err
         assert "SVD" not in err
@@ -377,6 +416,19 @@ class TestConfigAndErrors:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_closed_pipe_exits_quietly(self):
+        # The reader goes away before the first write, as with `| head`.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "altpd.cli", "integrate",
+             "--p", "0.71,0.5,0.41,0.2", "--t", "0.002"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 1
+        assert "Traceback" not in err
 
     def test_degenerate_chain_exits_2(self, capsys):
         code, _, err = run_cli(

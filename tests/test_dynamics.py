@@ -243,6 +243,17 @@ def test_bad_step_sizes_rejected(t_final, dt, method):
         integrate(np.array([0.62, 0.35, 0.3, 0.45]), PARAMS, t_final, dt=dt, method=method)
 
 
+def test_rk45_lets_field_bugs_through(monkeypatch):
+    # Only a vanishing denominator means "singular"; any other error in the
+    # memory-1 field must surface instead of passing as a halt status.
+    def broken(x, params):
+        raise ValueError("bug in the field")
+
+    monkeypatch.setattr("altpd.dynamics.field_closed_form", broken)
+    with pytest.raises(ValueError, match="bug in the field"):
+        integrate(np.array([0.62, 0.35, 0.3, 0.45]), PARAMS, 1.0, method="rk45")
+
+
 def test_interior_start_required():
     with pytest.raises(ValueError):
         integrate(np.array([0.5, 0.5, 0.5, 0.0]), PARAMS, 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from altpd.chain import build_matrix_direct, stationary
-from altpd.oracle import empirical_stationary, simulate
+from altpd.oracle import simulate
 from altpd.payoff import payoff_by_stationary
 from altpd.strategy import PayoffParams, Strategy, all_c, random_strategy
 
@@ -16,7 +16,7 @@ def test_full_cooperation_pays_r_exactly():
     result = simulate(all_c(1), all_c(1), PARAMS, rounds=1000, seed=3)
     assert result.mean_payoff == PARAMS.r
     assert result.std_error == 0.0
-    assert np.array_equal(empirical_stationary(result), [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(result.state_frequencies, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_uniform_pair_approaches_the_table_average():
