@@ -8,166 +8,22 @@ reduces the flow to invariant tori, and cross-checks everything against a
 Monte Carlo oracle.
 """
 
-from .chain import (
-    TransitionMatrix,
-    build_matrix_direct,
-    build_matrix_recursive,
-    is_irreducible,
-    perturb_strategies,
-    stationary,
-)
-from .dynamics import (
-    EquilibriumFamily,
-    EquilibriumPoint,
-    InvariantPair,
-    Trajectory,
-    classify_equilibrium,
-    conservation_drift,
-    equilibrium_families,
-    field_closed_form,
-    field_numeric,
-    integrate,
-    interior_plane_grid,
-    interior_plane_point,
-    invariants,
-    jacobian,
-    plane_eigenvalues,
-    win_loss_exchange,
-)
-from .errors import (
-    DegeneracyError,
-    DegenerateTorusError,
-    FieldSingularError,
-    NonUniqueStationaryError,
-    NotAnEquilibriumError,
-    SingularPayoffError,
-    ToricDenominatorError,
-)
-from .oracle import SimulationResult, simulate
-from .payoff import (
-    build_payoff_vector,
-    check_well_defined,
-    payoff_by_determinant,
-    payoff_by_stationary,
-    reversal_identity_check,
-)
-from .strategy import (
-    Action,
-    History,
-    PayoffParams,
-    RawPayoffs,
-    Strategy,
-    all_c,
-    all_d,
-    decode_history,
-    encode_history,
-    follower_index,
-    random_strategy,
-    raw_from_donation,
-    state_label,
-    tit_for_tat,
-    validate_raw,
-)
-from .symmetry import (
-    AdmissibilityReport,
-    build_admissible,
-    conjugation_action,
-    exhaustive_admissible_search,
-    verify_admissibility,
-)
-from .torus import (
-    AdmissibleRectangle,
-    TorusLevel,
-    TorusPoint,
-    admissible_rectangle,
-    averaged_slow_field,
-    denominator_zero_segments,
-    desingularized_field,
-    field_grid,
-    slow_coefficient,
-    to_cube,
-    to_torus,
-    toric_denominator,
-    torus_equilibria,
-    torus_field,
-    torus_trajectory,
-)
-from .verify import CheckResult, run_suite
+from . import chain, dynamics, errors, oracle, payoff, strategy, symmetry, torus, verify
+from .chain import *  # noqa: F403
+from .dynamics import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .payoff import *  # noqa: F403
+from .strategy import *  # noqa: F403
+from .symmetry import *  # noqa: F403
+from .torus import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# The package API is exactly the modules' own public names (cli stays out).
 __all__ = [
-    "Action",
-    "AdmissibilityReport",
-    "AdmissibleRectangle",
-    "CheckResult",
-    "DegeneracyError",
-    "DegenerateTorusError",
-    "EquilibriumFamily",
-    "EquilibriumPoint",
-    "FieldSingularError",
-    "History",
-    "InvariantPair",
-    "NonUniqueStationaryError",
-    "NotAnEquilibriumError",
-    "PayoffParams",
-    "RawPayoffs",
-    "SimulationResult",
-    "SingularPayoffError",
-    "Strategy",
-    "ToricDenominatorError",
-    "TorusLevel",
-    "TorusPoint",
-    "Trajectory",
-    "TransitionMatrix",
-    "admissible_rectangle",
-    "all_c",
-    "all_d",
-    "averaged_slow_field",
-    "build_admissible",
-    "build_matrix_direct",
-    "build_matrix_recursive",
-    "build_payoff_vector",
-    "check_well_defined",
-    "classify_equilibrium",
-    "conjugation_action",
-    "conservation_drift",
-    "decode_history",
-    "denominator_zero_segments",
-    "desingularized_field",
-    "encode_history",
-    "equilibrium_families",
-    "exhaustive_admissible_search",
-    "field_closed_form",
-    "field_grid",
-    "field_numeric",
-    "follower_index",
-    "integrate",
-    "interior_plane_grid",
-    "interior_plane_point",
-    "invariants",
-    "is_irreducible",
-    "jacobian",
-    "payoff_by_determinant",
-    "payoff_by_stationary",
-    "perturb_strategies",
-    "plane_eigenvalues",
-    "random_strategy",
-    "raw_from_donation",
-    "reversal_identity_check",
-    "run_suite",
-    "simulate",
-    "slow_coefficient",
-    "state_label",
-    "stationary",
-    "tit_for_tat",
-    "to_cube",
-    "to_torus",
-    "toric_denominator",
-    "torus_equilibria",
-    "torus_field",
-    "torus_trajectory",
-    "validate_raw",
-    "verify_admissibility",
-    "win_loss_exchange",
+    name
+    for module in (chain, dynamics, errors, oracle, payoff, strategy, symmetry, torus, verify)
+    for name in module.__all__
 ]

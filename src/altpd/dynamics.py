@@ -108,6 +108,7 @@ def _field_scalar(x1, x2, x3, x4, b, c):
 
 
 def _field_raw(x, b, c):
+    """(denom, field) on arrays, without a denominator check."""
     x1, x2, x3, x4 = (x[..., i] for i in range(4))
     e13, e2, denom = _field_components(x1, x2, x3, x4, b, c)
     out = np.stack(
@@ -119,7 +120,7 @@ def _field_raw(x, b, c):
         ],
         axis=-1,
     )
-    return out / denom[..., np.newaxis]
+    return denom, out / denom[..., np.newaxis]
 
 
 def field_closed_form(x, params: PayoffParams) -> np.ndarray:
@@ -132,11 +133,11 @@ def field_closed_form(x, params: PayoffParams) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 4:
         raise ValueError("closed form requires memory 1 (four coordinates)")
-    x1, x2, x3, x4 = (x[..., i] for i in range(4))
-    _, _, denom = _field_components(x1, x2, x3, x4, params.b, params.c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom, field = _field_raw(x, params.b, params.c)
     if np.any(np.abs(denom) < _DENOMINATOR_TOL):
         raise FieldSingularError("field denominator vanishes")
-    return _field_raw(x, params.b, params.c)
+    return field
 
 
 def _memory_from_size(d: int) -> int:
@@ -187,15 +188,12 @@ def jacobian(
     if method == "complex-step":
         if d != 4:
             raise ValueError("complex-step differentiation requires memory 1")
-        x1, x2, x3, x4 = x
-        _, _, denom = _field_components(x1, x2, x3, x4, params.b, params.c)
-        if abs(denom) < _DENOMINATOR_TOL:
-            raise FieldSingularError("field denominator vanishes")
+        field_closed_form(x, params)  # raises where the denominator vanishes
         jac = np.empty((4, 4))
         for j in range(4):
             xc = x.astype(complex)
             xc[j] += 1j * _COMPLEX_STEP
-            jac[:, j] = _field_raw(xc, params.b, params.c).imag / _COMPLEX_STEP
+            jac[:, j] = _field_raw(xc, params.b, params.c)[1].imag / _COMPLEX_STEP
         return jac
     if method == "central":
         base = field_closed_form if d == 4 else field_numeric
@@ -306,29 +304,57 @@ def _cube_step(params):
     return step
 
 
-def _integrate_rk4(x0, params, t_final, dt):
-    n_steps = max(1, int(round(t_final / dt)))
-    if x0.size == 4:
-        x, step, caught = tuple(x0.tolist()), _cube_step(params), FieldSingularError
-    else:
-        # field_numeric raises ValueError once a stage leaves its stencil room.
-        x, caught = x0.copy(), (FieldSingularError, ValueError)
-        step = partial(_rk4_step, lambda y: field_numeric(y, params))
+def _step_count(t_final: float, dt: float) -> int:
+    """Number of fixed steps of size dt that reach t_final (at least one).
+
+    Raises ValueError unless t_final, dt and t_final / dt are all finite
+    and positive.
+    """
+
+    def positive(v):
+        return math.isfinite(v) and v > 0.0
+
+    if not (positive(t_final) and positive(dt) and positive(t_final / dt)):
+        raise ValueError(
+            "t and dt must be finite and positive, and so must t / dt; "
+            f"got t_final={t_final!r}, dt={dt!r}"
+        )
+    return max(1, int(round(t_final / dt)))
+
+
+def _march(step, y0, t_final, dt, caught, inside):
+    """Fixed-step loop: (times, states, status) from y0 up to t_final.
+
+    Every state is recorded. The loop halts with "singular" when step
+    raises one of `caught` and with "boundary" when a new state fails
+    `inside`; the failing state is not recorded.
+    """
+    y = y0
     times = [0.0]
-    states = [x]
+    states = [y]
     status = "completed"
-    for k in range(1, n_steps + 1):
+    for k in range(1, _step_count(t_final, dt) + 1):
         try:
-            x = step(x, dt)
+            y = step(y, dt)
         except caught:
             status = "singular"
             break
-        if not _interior(x):
+        if not inside(y):
             status = "boundary"
             break
         times.append(k * dt)
-        states.append(x)
-    return Trajectory(np.asarray(times), np.asarray(states, dtype=float), status)
+        states.append(y)
+    return np.asarray(times), np.asarray(states, dtype=float), status
+
+
+def _integrate_rk4(x0, params, t_final, dt):
+    if x0.size == 4:
+        y0, step, caught = tuple(x0.tolist()), _cube_step(params), FieldSingularError
+    else:
+        # field_numeric raises ValueError once a stage leaves its stencil room.
+        y0, caught = x0.copy(), (FieldSingularError, ValueError)
+        step = partial(_rk4_step, lambda y: field_numeric(y, params))
+    return Trajectory(*_march(step, y0, t_final, dt, caught, _interior))
 
 
 def _integrate_rk45(x0, params, t_final):
@@ -365,14 +391,6 @@ def _integrate_rk45(x0, params, t_final):
     return Trajectory(times, states, "completed" if sol.success else "singular")
 
 
-def _check_times(t_final: float, dt: float) -> None:
-    """Reject a horizon or step that is not a finite positive number."""
-    if not (math.isfinite(t_final) and t_final > 0.0):
-        raise ValueError(f"final time must be finite and positive; got {t_final!r}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"step must be finite and positive; got {dt!r}")
-
-
 def integrate(
     x0, params: PayoffParams, t_final: float, dt: float = 1e-3, method: str = "rk4"
 ) -> Trajectory:
@@ -383,12 +401,13 @@ def integrate(
     Integration halts, without recording the exiting state, when any
     coordinate leaves [1e-9, 1-1e-9]: clamping would silently break the
     conserved quantities. Raises ValueError for a start outside that
-    range, or unless t_final and dt are finite and positive.
+    range, or unless t_final, dt and t_final / dt are finite and positive
+    (for "rk45" too, although it chooses its own steps).
     """
     x0 = np.asarray(x0, dtype=float)
     if not _interior(x0):
         raise ValueError("initial state must be interior")
-    _check_times(t_final, dt)
+    _step_count(t_final, dt)  # the step rule, for either method
     if method == "rk4":
         return _integrate_rk4(x0, params, t_final, dt)
     if method == "rk45":
@@ -404,24 +423,25 @@ def conservation_drift(
     Integrates every row of x0_batch simultaneously (memory 1 only) and
     tracks the running maximum of |F_i(t) - F_i(0)| per trajectory. Rows
     that exit [1e-9, 1-1e-9] are frozen at their last interior state.
-    Returns (drift_f1, drift_f2), each of shape (n_trajectories,).
+    Returns (drift_f1, drift_f2), each of shape (n_trajectories,). Raises
+    ValueError under the same step rule as integrate.
     """
     x = np.array(x0_batch, dtype=float)
     if x.ndim != 2 or x.shape[1] != 4:
         raise ValueError("x0_batch must have shape (n, 4)")
     if not _interior(x.ravel()):
         raise ValueError("initial states must be interior")
+    n_steps = _step_count(t_final, dt)
     b, c = params.b, params.c
 
     def rates(y):
-        return _field_raw(y, b, c)
+        return _field_raw(y, b, c)[1]
 
     f1_0 = (x[:, 0] - 1.0) ** 2 + x[:, 2] ** 2
     f2_0 = (x[:, 1] - 1.0) ** 2 + x[:, 3] ** 2
     drift1 = np.zeros(x.shape[0])
     drift2 = np.zeros(x.shape[0])
     active = np.ones(x.shape[0], dtype=bool)
-    n_steps = max(1, int(round(t_final / dt)))
     for _ in range(n_steps):
         if not active.any():
             break

@@ -5,6 +5,16 @@ DegeneracyError marks situations where a quantity is genuinely undefined
 tori); the CLI maps it to exit code 2.
 """
 
+__all__ = [
+    "DegeneracyError",
+    "NonUniqueStationaryError",
+    "SingularPayoffError",
+    "FieldSingularError",
+    "ToricDenominatorError",
+    "DegenerateTorusError",
+    "NotAnEquilibriumError",
+]
+
 
 class DegeneracyError(RuntimeError):
     """A computation hit a mathematically degenerate configuration."""

@@ -21,7 +21,6 @@ from .payoff import build_payoff_vector
 from .strategy import PayoffParams, Strategy
 
 __all__ = [
-    "J_BASE",
     "build_admissible",
     "conjugation_action",
     "verify_admissibility",

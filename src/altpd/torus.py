@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _check_times, _field_scalar, _rk4_tuple
+from .dynamics import _field_scalar, _march, _rk4_tuple
 from .errors import (
     DegenerateTorusError,
     FieldSingularError,
@@ -381,29 +381,20 @@ def torus_trajectory(
     Returns (times, angle array of shape (n, 2), status); status is
     "singular" if the toric denominator vanished mid-run, else
     "completed". Angles are left unwrapped so paths are continuous.
-    Raises ValueError unless t_final and dt are finite and positive.
+    Raises ValueError under the same step rule as dynamics.integrate.
     """
-    _check_times(t_final, dt)
     u, v = math.sqrt(pt.level.c1), math.sqrt(pt.level.c2)
     b, c = params.b, params.c
 
     def rates(angles):
         return _angle_rates(_wrap(angles[0]), _wrap(angles[1]), u, v, b, c)
 
-    y = (pt.phi, pt.psi)
-    times = [0.0]
-    path = [y]
-    status = "completed"
-    n_steps = max(1, int(round(t_final / dt)))
-    for k in range(1, n_steps + 1):
-        try:
-            y = _rk4_tuple(rates, y, dt, rates(y))
-        except ToricDenominatorError:
-            status = "singular"
-            break
-        times.append(k * dt)
-        path.append(y)
-    return np.asarray(times), np.asarray(path, dtype=float), status
+    def step(y, dt):
+        return _rk4_tuple(rates, y, dt, rates(y))
+
+    return _march(
+        step, (pt.phi, pt.psi), t_final, dt, ToricDenominatorError, lambda y: True
+    )
 
 
 def field_grid(level: TorusLevel, params: PayoffParams, resolution: int = 40):

@@ -400,7 +400,7 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize(
         "flags",
         [["--dt", "inf"], ["--dt", "nan"], ["--t", "inf"], ["--t", "nan"],
-         ["--dt=-1e-3"], ["--dt", "0"]],
+         ["--dt=-1e-3"], ["--dt", "0"], ["--t", "1e300", "--dt", "1e-10"]],
     )
     def test_non_finite_times_exit_64(self, capsys, flags):
         code, _, err = run_cli(
@@ -408,6 +408,7 @@ class TestConfigAndErrors:
         )
         assert code == 64
         assert "t and dt" in err
+        assert "Traceback" not in err
 
     def test_import_leaves_scipy_integrate_unloaded(self):
         probe = "import sys, altpd.cli; print('scipy.integrate' in sys.modules)"

@@ -235,12 +235,17 @@ def test_nan_state_is_not_interior():
         (math.inf, 1e-3),
         (math.nan, 1e-3),
         (-1.0, 1e-3),
+        (1e300, 1e-10),
     ],
 )
-@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("method", ["rk4", "rk45", "drift"])
 def test_bad_step_sizes_rejected(t_final, dt, method):
+    x0 = np.array([0.62, 0.35, 0.3, 0.45])
     with pytest.raises(ValueError):
-        integrate(np.array([0.62, 0.35, 0.3, 0.45]), PARAMS, t_final, dt=dt, method=method)
+        if method == "drift":
+            conservation_drift(x0[np.newaxis], PARAMS, t_final, dt=dt)
+        else:
+            integrate(x0, PARAMS, t_final, dt=dt, method=method)
 
 
 def test_rk45_lets_field_bugs_through(monkeypatch):

@@ -507,7 +507,7 @@ class TestTrajectory:
     @pytest.mark.parametrize(
         "t_final, dt",
         [(1.0, math.inf), (1.0, math.nan), (1.0, -1e-3), (1.0, 0.0),
-         (math.inf, 1e-3), (math.nan, 1e-3), (-1.0, 1e-3)],
+         (math.inf, 1e-3), (math.nan, 1e-3), (-1.0, 1e-3), (1e300, 1e-10)],
     )
     def test_bad_step_sizes_rejected(self, t_final, dt):
         pt = TorusPoint(5.6, 5.2, TorusLevel(*PANEL_A[1:]))
