@@ -47,6 +47,14 @@ _BOUNDARY_HI = 1.0 - 1e-9
 _ZERO_EIG_TOL = 1e-8
 _FIELD_ZERO_TOL = 1e-8
 _COMPLEX_STEP = 1e-20
+# conservation_drift steps its rows as one numpy batch only while more than
+# this many are live. A batch RK4 step costs about 200 us whatever the row
+# count (each stage is ~100 ufunc calls on short arrays) and a scalar row
+# step about 9 us, so the two cross near 20 rows (2-vCPU x86 host).
+_DRIFT_SCALAR_ROWS = 16
+# A straggler is marched this many steps at a time, so the states kept for
+# its drift stay near 1 MB however long the run.
+_DRIFT_CHUNK = 4096
 
 
 def _field_components(x1, x2, x3, x4, b, c):
@@ -322,8 +330,8 @@ def _step_count(t_final: float, dt: float) -> int:
     return max(1, int(round(t_final / dt)))
 
 
-def _march(step, y0, t_final, dt, caught, inside):
-    """Fixed-step loop: (times, states, status) from y0 up to t_final.
+def _march(step, y0, n_steps, dt, caught, inside):
+    """Fixed-step loop: (times, states, status) over n_steps steps from y0.
 
     Every state is recorded. The loop halts with "singular" when step
     raises one of `caught` and with "boundary" when a new state fails
@@ -333,7 +341,7 @@ def _march(step, y0, t_final, dt, caught, inside):
     times = [0.0]
     states = [y]
     status = "completed"
-    for k in range(1, _step_count(t_final, dt) + 1):
+    for k in range(1, n_steps + 1):
         try:
             y = step(y, dt)
         except caught:
@@ -347,14 +355,14 @@ def _march(step, y0, t_final, dt, caught, inside):
     return np.asarray(times), np.asarray(states, dtype=float), status
 
 
-def _integrate_rk4(x0, params, t_final, dt):
+def _integrate_rk4(x0, params, n_steps, dt):
     if x0.size == 4:
         y0, step, caught = tuple(x0.tolist()), _cube_step(params), FieldSingularError
     else:
         # field_numeric raises ValueError once a stage leaves its stencil room.
         y0, caught = x0.copy(), (FieldSingularError, ValueError)
         step = partial(_rk4_step, lambda y: field_numeric(y, params))
-    return Trajectory(*_march(step, y0, t_final, dt, caught, _interior))
+    return Trajectory(*_march(step, y0, n_steps, dt, caught, _interior))
 
 
 def _integrate_rk45(x0, params, t_final):
@@ -407,9 +415,9 @@ def integrate(
     x0 = np.asarray(x0, dtype=float)
     if not _interior(x0):
         raise ValueError("initial state must be interior")
-    _step_count(t_final, dt)  # the step rule, for either method
+    n_steps = _step_count(t_final, dt)  # the step rule, for either method
     if method == "rk4":
-        return _integrate_rk4(x0, params, t_final, dt)
+        return _integrate_rk4(x0, params, n_steps, dt)
     if method == "rk45":
         return _integrate_rk45(x0, params, t_final)
     raise ValueError("method must be 'rk4' or 'rk45'")
@@ -418,13 +426,20 @@ def integrate(
 def conservation_drift(
     x0_batch, params: PayoffParams, t_final: float, dt: float = 1e-3
 ):
-    """Max drift of both conserved quantities along batched RK4 runs.
+    """Max drift of both conserved quantities along fixed-step RK4 runs.
 
-    Integrates every row of x0_batch simultaneously (memory 1 only) and
-    tracks the running maximum of |F_i(t) - F_i(0)| per trajectory. Rows
-    that exit [1e-9, 1-1e-9] are frozen at their last interior state.
-    Returns (drift_f1, drift_f2), each of shape (n_trajectories,). Raises
+    Integrates every row of x0_batch (memory 1 only) and tracks the running
+    maximum of |F_i(t) - F_i(0)| per trajectory. Rows that exit
+    [1e-9, 1-1e-9] are frozen at their last interior state. Returns
+    (drift_f1, drift_f2), each of shape (n_trajectories,). Raises
     ValueError under the same step rule as integrate.
+
+    The rows are stepped together as one numpy batch while more than 16 of
+    them are live; each row still live after that finishes on the scalar
+    kernel of integrate, with the same arithmetic, so the result does not
+    depend on where the switch falls. A row finishing on the scalar kernel
+    also freezes, as integrate halts, when its start-of-step field
+    denominator is below 1e-14 in magnitude.
     """
     x = np.array(x0_batch, dtype=float)
     if x.ndim != 2 or x.shape[1] != 4:
@@ -442,9 +457,8 @@ def conservation_drift(
     drift1 = np.zeros(x.shape[0])
     drift2 = np.zeros(x.shape[0])
     active = np.ones(x.shape[0], dtype=bool)
-    for _ in range(n_steps):
-        if not active.any():
-            break
+    done = 0
+    while done < n_steps and np.count_nonzero(active) > _DRIFT_SCALAR_ROWS:
         stepped = _rk4_step(rates, x[active], dt)
         inside = np.all((stepped >= _BOUNDARY_LO) & (stepped <= _BOUNDARY_HI), axis=1)
         idx = np.flatnonzero(active)
@@ -455,6 +469,18 @@ def conservation_drift(
         f2 = (x[live, 1] - 1.0) ** 2 + x[live, 3] ** 2
         drift1[live] = np.maximum(drift1[live], np.abs(f1 - f1_0[live]))
         drift2[live] = np.maximum(drift2[live], np.abs(f2 - f2_0[live]))
+        done += 1
+    step = _cube_step(params)
+    for i in np.flatnonzero(active):
+        y, left, status = tuple(x[i].tolist()), n_steps - done, "completed"
+        while left and status == "completed":
+            count = min(left, _DRIFT_CHUNK)
+            _, s, status = _march(step, y, count, dt, FieldSingularError, _interior)
+            f1 = (s[:, 0] - 1.0) ** 2 + s[:, 2] ** 2
+            f2 = (s[:, 1] - 1.0) ** 2 + s[:, 3] ** 2
+            drift1[i] = max(drift1[i], np.max(np.abs(f1 - f1_0[i])))
+            drift2[i] = max(drift2[i], np.max(np.abs(f2 - f2_0[i])))
+            y, left = tuple(s[-1].tolist()), left - count
     return drift1, drift2
 
 

@@ -9,6 +9,7 @@ explicit seed; results are bit-for-bit reproducible per seed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,15 +59,19 @@ def simulate(
     the leader cooperates with probability p[h], the follower with
     probability q[k] where k conditions on the leader's fresh move, and the
     round's payoff is the R/S/T/P total for the (leader, follower) pair.
-    std_error is the per-round sample standard deviation over sqrt(rounds);
-    state_frequencies counts the post-round chain states.
+    state_frequencies counts the post-round chain states; a round's
+    (leader, follower) outcome is the low two bits of its post-round state,
+    so the payoff tally is summed from those counts. std_error is the
+    per-round sample standard deviation over sqrt(rounds), the iid formula,
+    although successive rounds are correlated through the chain. rounds
+    and burn_in must be integers (bool is refused); ValueError otherwise.
     """
     if p.memory != q.memory:
         raise ValueError("leader and follower must share the same memory length")
+    rounds = _integer("rounds", rounds)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if burn_in is None:
-        burn_in = rounds // 10
+    burn_in = rounds // 10 if burn_in is None else _integer("burn_in", burn_in)
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
 
@@ -74,13 +79,19 @@ def simulate(
     mask = n - 1
     rng = np.random.Generator(np.random.PCG64(seed))
     h = int(rng.integers(n))
+    # Per-state tables: the leader's probability, the follower's after the
+    # leader's C and D, and the successor state after each (a, b) outcome.
     p_list = p.probs.tolist()
     q_list = q.probs.tolist()
-    state_counts = [0] * n
-    outcome_counts = [0, 0, 0, 0]
+    qc = [q_list[(s << 1) & mask] for s in range(n)]
+    qd = [q_list[((s << 1) | 1) & mask] for s in range(n)]
+    succ = [[((s << 2) | o) & mask for s in range(n)] for o in range(4)]
+    tables = (p_list, qc, qd, *succ)
 
-    h = _run(rng, p_list, q_list, mask, h, burn_in, None, None)
-    _run(rng, p_list, q_list, mask, h, rounds, state_counts, outcome_counts)
+    h = _run(rng, tables, h, burn_in, [0] * n)
+    state_counts = [0] * n
+    _run(rng, tables, h, rounds, state_counts)
+    outcome_counts = [sum(state_counts[o::4]) for o in range(4)]
 
     values = params.rstp
     mean = sum(c * v for c, v in zip(outcome_counts, values)) / rounds
@@ -101,22 +112,28 @@ def simulate(
     )
 
 
-def _run(rng, p_list, q_list, mask, h, total, state_counts, outcome_counts):
+def _integer(name, value):
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _run(rng, tables, h, total, counts):
     # Uniform draws are pre-generated in chunks; the loop itself is plain
-    # Python over a list, which keeps a million rounds under a second.
-    recording = state_counts is not None
+    # Python over lists indexed by the current state.
+    p, qc, qd, cc, cd, dc, dd = tables
     done = 0
     while done < total:
         count = min(_CHUNK, total - done)
         u = rng.random(2 * count).tolist()
-        ui = 0
-        for _ in range(count):
-            a = 0 if u[ui] < p_list[h] else 1
-            b = 0 if u[ui + 1] < q_list[((h << 1) | a) & mask] else 1
-            ui += 2
-            h = ((h << 2) | (a << 1) | b) & mask
-            if recording:
-                outcome_counts[(a << 1) | b] += 1
-                state_counts[h] += 1
+        for u0, u1 in zip(u[::2], u[1::2]):
+            if u0 < p[h]:
+                h = cc[h] if u1 < qc[h] else cd[h]
+            else:
+                h = dc[h] if u1 < qd[h] else dd[h]
+            counts[h] += 1
         done += count
     return h

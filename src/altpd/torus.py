@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _field_scalar, _march, _rk4_tuple
+from .dynamics import _field_scalar, _march, _rk4_tuple, _step_count
 from .errors import (
     DegenerateTorusError,
     FieldSingularError,
@@ -383,6 +383,7 @@ def torus_trajectory(
     "completed". Angles are left unwrapped so paths are continuous.
     Raises ValueError under the same step rule as dynamics.integrate.
     """
+    n_steps = _step_count(t_final, dt)
     u, v = math.sqrt(pt.level.c1), math.sqrt(pt.level.c2)
     b, c = params.b, params.c
 
@@ -393,7 +394,7 @@ def torus_trajectory(
         return _rk4_tuple(rates, y, dt, rates(y))
 
     return _march(
-        step, (pt.phi, pt.psi), t_final, dt, ToricDenominatorError, lambda y: True
+        step, (pt.phi, pt.psi), n_steps, dt, ToricDenominatorError, lambda y: True
     )
 
 

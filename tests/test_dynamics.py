@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from altpd.dynamics import (
+    _DRIFT_SCALAR_ROWS,
+    _field_raw,
     _field_scalar,
     _interior,
+    _rk4_step,
     classify_equilibrium,
     conservation_drift,
     equilibrium_families,
@@ -141,6 +144,71 @@ def test_conservation_along_trajectories():
     starts = RNG.uniform(0.2, 0.8, (5, 4))
     d1, d2 = conservation_drift(starts, PARAMS, 10.0)
     assert d1.max() < 1e-9 and d2.max() < 1e-9
+
+
+def _batch_drift(x0_batch, t_final, dt=1e-3):
+    """Reference: every row stepped as one numpy batch until it exits.
+
+    Also returns, per row, how many rows were live on the step that froze
+    it (0 for rows that never froze).
+    """
+    x = np.array(x0_batch, dtype=float)
+
+    def rates(y):
+        return _field_raw(y, PARAMS.b, PARAMS.c)[1]
+
+    f1_0 = (x[:, 0] - 1.0) ** 2 + x[:, 2] ** 2
+    f2_0 = (x[:, 1] - 1.0) ** 2 + x[:, 3] ** 2
+    drift1 = np.zeros(x.shape[0])
+    drift2 = np.zeros(x.shape[0])
+    frozen_among = np.zeros(x.shape[0], dtype=int)
+    active = np.ones(x.shape[0], dtype=bool)
+    for _ in range(int(round(t_final / dt))):
+        if not active.any():
+            break
+        stepped = _rk4_step(rates, x[active], dt)
+        inside = np.all((stepped >= 1e-9) & (stepped <= 1.0 - 1e-9), axis=1)
+        idx = np.flatnonzero(active)
+        frozen_among[idx[~inside]] = idx.size
+        x[idx[inside]] = stepped[inside]
+        active[idx[~inside]] = False
+        live = idx[inside]
+        f1 = (x[live, 0] - 1.0) ** 2 + x[live, 2] ** 2
+        f2 = (x[live, 1] - 1.0) ** 2 + x[live, 3] ** 2
+        drift1[live] = np.maximum(drift1[live], np.abs(f1 - f1_0[live]))
+        drift2[live] = np.maximum(drift2[live], np.abs(f2 - f2_0[live]))
+    return drift1, drift2, frozen_among
+
+
+@pytest.mark.parametrize(
+    "seed, rows, t_final, low, high, route",
+    [
+        (7, 64, 0.5, 0.1, 0.9, "batch"),
+        (9, 10, 20.0, 0.1, 0.9, "scalar"),
+        (10, 24, 2.0, 0.05, 0.95, "both"),
+    ],
+)
+def test_drift_matches_the_batch_loop_bit_for_bit(
+    seed, rows, t_final, low, high, route, monkeypatch
+):
+    starts = np.random.default_rng(seed).uniform(low, high, (rows, 4))
+    ref1, ref2, frozen_among = _batch_drift(starts, t_final)
+    d1, d2 = conservation_drift(starts, PARAMS, t_final)
+    assert np.array_equal(d1, ref1) and np.array_equal(d2, ref2)
+    # Stragglers are marched in chunks; many short ones must agree too.
+    monkeypatch.setattr("altpd.dynamics._DRIFT_CHUNK", 97)
+    d1, d2 = conservation_drift(starts, PARAMS, t_final)
+    assert np.array_equal(d1, ref1) and np.array_equal(d2, ref2)
+    in_batch = frozen_among > _DRIFT_SCALAR_ROWS
+    in_scalar = (frozen_among > 0) & ~in_batch
+    if route == "batch":
+        # The live count never drops to the switch.
+        assert rows - np.count_nonzero(frozen_among) > _DRIFT_SCALAR_ROWS
+    elif route == "scalar":
+        assert rows <= _DRIFT_SCALAR_ROWS and in_scalar.any()
+    else:
+        assert in_batch.any() and in_scalar.any()
+        assert np.count_nonzero(frozen_among == 0) > 0
 
 
 def test_boundary_halt_keeps_states_inside():

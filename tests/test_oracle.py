@@ -92,10 +92,73 @@ def test_result_exports_with_seed_and_params():
     assert len(d["state_frequencies"]) == 16
 
 
-def test_input_validation():
-    with pytest.raises(ValueError):
-        simulate(all_c(1), all_c(2), PARAMS, rounds=10)
-    with pytest.raises(ValueError):
-        simulate(all_c(1), all_c(1), PARAMS, rounds=0)
-    with pytest.raises(ValueError):
-        simulate(all_c(1), all_c(1), PARAMS, rounds=10, burn_in=-1)
+def _bit_loop(p, q, rounds, burn_in, seed):
+    """Reference: each round's moves and next state by history bit shifts.
+
+    Returns (state_counts, outcome_counts) over the recorded rounds, with
+    the same draws as simulate.
+    """
+    mask = p.n_states - 1
+    rng = np.random.Generator(np.random.PCG64(seed))
+    h = int(rng.integers(p.n_states))
+    state_counts = [0] * p.n_states
+    outcome_counts = [0] * 4
+    for total, recording in ((burn_in, False), (rounds, True)):
+        done = 0
+        while done < total:
+            count = min(1 << 16, total - done)
+            u = rng.random(2 * count).tolist()
+            for i in range(count):
+                a = 0 if u[2 * i] < p.probs[h] else 1
+                b = 0 if u[2 * i + 1] < q.probs[((h << 1) | a) & mask] else 1
+                h = ((h << 2) | (a << 1) | b) & mask
+                if recording:
+                    outcome_counts[(a << 1) | b] += 1
+                    state_counts[h] += 1
+            done += count
+    return state_counts, outcome_counts
+
+
+@pytest.mark.parametrize("memory", [1, 2, 3])
+@pytest.mark.parametrize("rounds, burn_in", [(70_000, None), (1000, 0)])
+def test_matches_the_bit_arithmetic_loop(memory, rounds, burn_in):
+    rng = np.random.default_rng(memory)
+    p, q = random_strategy(memory, rng), random_strategy(memory, rng)
+    result = simulate(p, q, PARAMS, rounds=rounds, burn_in=burn_in, seed=memory)
+    state_counts, outcome_counts = _bit_loop(p, q, rounds, result.burn_in, memory)
+    assert np.array_equal(result.state_frequencies, np.array(state_counts) / rounds)
+    mean = sum(c * v for c, v in zip(outcome_counts, PARAMS.rstp)) / rounds
+    var = sum(c * (v - mean) ** 2 for c, v in zip(outcome_counts, PARAMS.rstp))
+    assert result.mean_payoff == mean
+    assert result.std_error == float(np.sqrt(var / (rounds - 1) / rounds))
+
+
+def test_integer_counts_accept_numpy_integers():
+    p, q = random_strategy(1, RNG), random_strategy(1, RNG)
+    a = simulate(p, q, PARAMS, rounds=np.int64(500), burn_in=np.int64(5), seed=1)
+    b = simulate(p, q, PARAMS, rounds=500, burn_in=5, seed=1)
+    assert a.mean_payoff == b.mean_payoff and type(a.rounds) is int
+
+
+@pytest.mark.parametrize(
+    "memories, kwargs, match",
+    [
+        pytest.param((1, 2), {"rounds": 10}, "memory", id="mixed-memory"),
+        pytest.param((1, 1), {"rounds": 0}, "rounds", id="zero-rounds"),
+        pytest.param(
+            (1, 1), {"rounds": 10, "burn_in": -1}, "burn_in", id="negative-burn-in"
+        ),
+        pytest.param((1, 1), {"rounds": 1000.0}, "rounds", id="float-rounds"),
+        pytest.param((1, 1), {"rounds": True}, "rounds", id="bool-rounds"),
+        pytest.param((1, 1), {"rounds": "10"}, "rounds", id="str-rounds"),
+        pytest.param(
+            (1, 1), {"rounds": 10, "burn_in": 2.0}, "burn_in", id="float-burn-in"
+        ),
+        pytest.param(
+            (1, 1), {"rounds": 10, "burn_in": False}, "burn_in", id="bool-burn-in"
+        ),
+    ],
+)
+def test_input_validation(memories, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        simulate(all_c(memories[0]), all_c(memories[1]), PARAMS, **kwargs)
