@@ -2,11 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altpd.chain import build_matrix_direct, stationary
-from altpd.oracle import simulate
+from altpd.oracle import _CHUNK, _play_chunk, _run, _tables, simulate
 from altpd.payoff import payoff_by_stationary
-from altpd.strategy import PayoffParams, Strategy, all_c, random_strategy
+from altpd.strategy import (
+    PayoffParams,
+    Strategy,
+    all_c,
+    random_strategy,
+    tit_for_tat,
+)
 
 RNG = np.random.default_rng(0)
 PARAMS = PayoffParams(b=1.0, c=0.3)
@@ -92,15 +100,16 @@ def test_result_exports_with_seed_and_params():
     assert len(d["state_frequencies"]) == 16
 
 
-def _bit_loop(p, q, rounds, burn_in, seed):
+def _bit_loop(p, q, rounds, burn_in, seed, start=None, path=None):
     """Reference: each round's moves and next state by history bit shifts.
 
     Returns (state_counts, outcome_counts) over the recorded rounds, with
-    the same draws as simulate.
+    the same draws as simulate. Given start, play from that state instead
+    of drawing one; given a list path, append each recorded round's state.
     """
     mask = p.n_states - 1
     rng = np.random.Generator(np.random.PCG64(seed))
-    h = int(rng.integers(p.n_states))
+    h = int(rng.integers(p.n_states)) if start is None else start
     state_counts = [0] * p.n_states
     outcome_counts = [0] * 4
     for total, recording in ((burn_in, False), (rounds, True)):
@@ -115,12 +124,25 @@ def _bit_loop(p, q, rounds, burn_in, seed):
                 if recording:
                     outcome_counts[(a << 1) | b] += 1
                     state_counts[h] += 1
+                    if path is not None:
+                        path.append(h)
             done += count
     return state_counts, outcome_counts
 
 
 @pytest.mark.parametrize("memory", [1, 2, 3])
-@pytest.mark.parametrize("rounds, burn_in", [(70_000, None), (1000, 0)])
+@pytest.mark.parametrize(
+    "rounds, burn_in",
+    [
+        (70_000, None),
+        (1000, 0),
+        # Below one block, not a multiple of the block, and burn-in and
+        # recorded rounds each across a chunk border.
+        (63, 0),
+        (65, 33),
+        (130_001, 65_537),
+    ],
+)
 def test_matches_the_bit_arithmetic_loop(memory, rounds, burn_in):
     rng = np.random.default_rng(memory)
     p, q = random_strategy(memory, rng), random_strategy(memory, rng)
@@ -131,6 +153,83 @@ def test_matches_the_bit_arithmetic_loop(memory, rounds, burn_in):
     var = sum(c * (v - mean) ** 2 for c, v in zip(outcome_counts, PARAMS.rstp))
     assert result.mean_payoff == mean
     assert result.std_error == float(np.sqrt(var / (rounds - 1) / rounds))
+
+
+@pytest.mark.parametrize(
+    "p, q, start",
+    [
+        # Absorbed at DD from CD: every block stays on one path.
+        pytest.param(tit_for_tat(1), tit_for_tat(1), 1, id="tft-tft"),
+        # Deterministic cycles of 3 and 5 states: blocks never meet their
+        # records, so the walk replays all but the first two of a chunk.
+        pytest.param(
+            Strategy(np.array([1.0, 0, 0, 1])),
+            Strategy(np.array([1.0, 0, 0, 1])),
+            1,
+            id="cycle-3-memory-1",
+        ),
+        pytest.param(
+            Strategy(np.array([0.0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 1])),
+            Strategy(np.array([0.0, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1])),
+            0,
+            id="cycle-5-memory-2",
+        ),
+    ],
+)
+def test_never_coupling_pairs_match_the_bit_arithmetic_loop(p, q, start):
+    tables = _tables(p, q)
+    path = []
+    _bit_loop(p, q, _CHUNK, 0, 5, start=start, path=path)
+    u = np.random.Generator(np.random.PCG64(5)).random(2 * _CHUNK)
+    assert _play_chunk(tables, start, u).tolist() == path
+
+    path = []
+    state_counts, _ = _bit_loop(p, q, 130_001, 7, 5, start=start, path=path)
+    rng = np.random.Generator(np.random.PCG64(5))
+    counts = np.zeros(p.n_states, dtype=np.int64)
+    h = _run(rng, tables, _run(rng, tables, start, 7), 130_001, counts)
+    assert counts.tolist() == state_counts
+    assert h == path[-1]
+
+
+def _assert_matches_bit_loop(result, p, q, seed):
+    rounds = result.rounds
+    state_counts, outcome_counts = _bit_loop(p, q, rounds, result.burn_in, seed)
+    assert np.array_equal(result.state_frequencies, np.array(state_counts) / rounds)
+    mean = sum(c * v for c, v in zip(outcome_counts, PARAMS.rstp)) / rounds
+    assert result.mean_payoff == mean
+    var = sum(c * (v - mean) ** 2 for c, v in zip(outcome_counts, PARAMS.rstp))
+    var = var / (rounds - 1) if rounds > 1 else 0.0
+    assert result.std_error == float(np.sqrt(var / rounds))
+
+
+@pytest.mark.parametrize("memory", [1, 2, 3])
+def test_one_round_matches_the_bit_arithmetic_loop(memory):
+    rng = np.random.default_rng(memory)
+    p, q = random_strategy(memory, rng), random_strategy(memory, rng)
+    result = simulate(p, q, PARAMS, rounds=1, seed=memory)
+    _assert_matches_bit_loop(result, p, q, memory)
+
+
+_ENTRIES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    memory=st.integers(1, 3),
+    rounds=st.integers(1, 3000),
+    burn_in=st.integers(0, 200),
+    seed=st.integers(0, 2**63),
+)
+def test_simulate_equals_the_bit_arithmetic_loop(data, memory, rounds, burn_in, seed):
+    n = 4**memory
+    p, q = (
+        Strategy(np.array(data.draw(st.lists(_ENTRIES, min_size=n, max_size=n))))
+        for _ in range(2)
+    )
+    result = simulate(p, q, PARAMS, rounds=rounds, burn_in=burn_in, seed=seed)
+    _assert_matches_bit_loop(result, p, q, seed)
 
 
 def test_integer_counts_accept_numpy_integers():
@@ -157,6 +256,10 @@ def test_integer_counts_accept_numpy_integers():
         pytest.param(
             (1, 1), {"rounds": 10, "burn_in": False}, "burn_in", id="bool-burn-in"
         ),
+        pytest.param((1, 1), {"rounds": 10, "seed": None}, "seed", id="none-seed"),
+        pytest.param((1, 1), {"rounds": 10, "seed": True}, "seed", id="bool-seed"),
+        pytest.param((1, 1), {"rounds": 10, "seed": 1.5}, "seed", id="float-seed"),
+        pytest.param((1, 1), {"rounds": 10, "seed": -1}, "seed", id="negative-seed"),
     ],
 )
 def test_input_validation(memories, kwargs, match):
