@@ -55,6 +55,27 @@ _DRIFT_SCALAR_ROWS = 16
 # A straggler is marched this many steps at a time, so the states kept for
 # its drift stay near 1 MB however long the run.
 _DRIFT_CHUNK = 4096
+# Dormand-Prince 5(4) tableau (Dormand & Prince 1980) and scipy's RK45
+# step-size controller constants.
+_DP_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
+_DP_A = np.array(
+    [
+        [0, 0, 0, 0, 0],
+        [1 / 5, 0, 0, 0, 0],
+        [3 / 40, 9 / 40, 0, 0, 0],
+        [44 / 45, -56 / 15, 32 / 9, 0, 0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    ]
+)
+_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array(
+    [-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40]
+)
+_DP_SAFETY = 0.9
+_DP_MIN_FACTOR = 0.2
+_DP_MAX_FACTOR = 10
+_DP_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
 
 
 def _field_components(x1, x2, x3, x4, b, c):
@@ -252,7 +273,8 @@ class Trajectory:
 
     status is "completed" (reached the final time), "boundary" (a
     coordinate left [1e-9, 1-1e-9]; the exiting state is not recorded), or
-    "singular" (field evaluation failed mid-step; partial record).
+    "singular" (field evaluation failed mid-step, or the rk45 step size
+    fell below its minimum; the record up to the last good step).
     """
 
     times: np.ndarray
@@ -365,38 +387,100 @@ def _integrate_rk4(x0, params, n_steps, dt):
     return Trajectory(*_march(step, y0, n_steps, dt, caught, _interior))
 
 
-def _integrate_rk45(x0, params, t_final):
-    from scipy.integrate import solve_ivp  # loaded only when rk45 is asked for
+def _rms(x):
+    return np.linalg.norm(x) / x.size**0.5
 
+
+def _dp45_first_step(f, y0, f0, t_final, rtol, atol):
+    """Initial step size (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_final)
+    f1 = f(h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_DP_EXPONENT
+    return min(100 * h0, h1, t_final)
+
+
+def _dp45(f, y0, t_final, rtol, atol, caught):
+    """Adaptive Dormand-Prince 5(4) loop from t = 0: (times, states, status).
+
+    A port of scipy's RK45 as solve_ivp drives it (scipy 1.17), with the
+    same numpy operations in the same order, so the steps agree with it
+    bit for bit: the initial step of _dp45_first_step, the fifth-order
+    solution (local extrapolation), the RMS norm of the embedded error
+    estimate, and the controller h *= SAFETY * err**(-1/5) clipped to
+    [MIN_FACTOR, MAX_FACTOR], with no growth on the step after a
+    rejection. f(t, y) is the right-hand side.
+
+    Every accepted state is recorded. The loop halts with "singular" when
+    f raises one of `caught` or the step falls below 10 ulps of t, and
+    with "boundary" when an accepted state fails _interior; the failing
+    state is not recorded. solve_ivp's terminal event halted instead on
+    the first state with a coordinate at or beyond 1e-9 or 1 - 1e-9, so
+    the two differ only when a coordinate lands exactly on one of them.
+    """
+    t, y = 0.0, y0
+    times, states = [t], [y]
+    stages = np.empty((_DP_A.shape[0] + 1, y0.size))
+    try:
+        fy = f(t, y)
+        h_abs = _dp45_first_step(f, y, fy, t_final, rtol, atol)
+        while True:
+            min_step = 10 * (np.nextafter(t, np.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while h_abs >= min_step:
+                t_new = min(t + h_abs, t_final)
+                h = t_new - t
+                h_abs = np.abs(h)
+                stages[0] = fy
+                for s in range(1, _DP_A.shape[0]):
+                    dy = np.dot(stages[:s].T, _DP_A[s, :s]) * h
+                    stages[s] = f(t + _DP_C[s] * h, y + dy)
+                y_new = y + h * np.dot(stages[:-1].T, _DP_B)
+                f_new = f(t_new, y_new)
+                stages[-1] = f_new
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                error = _rms(np.dot(stages.T, _DP_E) * h / scale)
+                if error < 1:
+                    if error == 0:
+                        factor = _DP_MAX_FACTOR
+                    else:
+                        factor = min(_DP_MAX_FACTOR, _DP_SAFETY * error**_DP_EXPONENT)
+                    h_abs *= min(1, factor) if rejected else factor
+                    break
+                h_abs *= max(_DP_MIN_FACTOR, _DP_SAFETY * error**_DP_EXPONENT)
+                rejected = True
+            else:
+                status = "singular"
+                break
+            t, y, fy = t_new, y_new, f_new
+            if not _interior(y):
+                status = "boundary"
+                break
+            times.append(t)
+            states.append(y)
+            if t >= t_final:
+                status = "completed"
+                break
+    except caught:
+        status = "singular"
+    return np.asarray(times), np.asarray(states), status
+
+
+def _integrate_rk45(x0, params, t_final):
     def rhs(_t, y):
         return field_closed_form(y, params) if y.size == 4 else field_numeric(y, params)
 
-    def exit_event(_t, y):
-        return min(float(np.min(y)) - _BOUNDARY_LO, _BOUNDARY_HI - float(np.max(y)))
-
-    exit_event.terminal = True
     # field_numeric raises ValueError once a stage leaves its stencil room.
     caught = FieldSingularError if x0.size == 4 else (FieldSingularError, ValueError)
-    try:
-        sol = solve_ivp(
-            rhs,
-            (0.0, t_final),
-            x0,
-            method="RK45",
-            rtol=1e-9,
-            atol=1e-12,
-            events=exit_event,
-            dense_output=False,
-        )
-    except caught:
-        return Trajectory(np.zeros(1), x0[np.newaxis].copy(), "singular")
-    times = sol.t
-    states = sol.y.T
-    if sol.status == 1:  # terminated by the boundary event
-        if times.size > 1:
-            times, states = times[:-1], states[:-1]
-        return Trajectory(times, states, "boundary")
-    return Trajectory(times, states, "completed" if sol.success else "singular")
+    return Trajectory(*_dp45(rhs, x0, t_final, 1e-9, 1e-12, caught))
 
 
 def integrate(
@@ -405,7 +489,9 @@ def integrate(
     """Integrate the field from an interior start.
 
     "rk4" is fixed-step (every step recorded); "rk45" is adaptive
-    Dormand-Prince at relative tolerance 1e-9 (solver-chosen steps).
+    Dormand-Prince 5(4) at rtol 1e-9, atol 1e-12 (solver-chosen steps,
+    every accepted step recorded), an in-package stepper that follows
+    scipy's RK45 step-size controller step for step.
     Integration halts, without recording the exiting state, when any
     coordinate leaves [1e-9, 1-1e-9]: clamping would silently break the
     conserved quantities. Raises ValueError for a start outside that

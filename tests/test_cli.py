@@ -1,5 +1,6 @@
 """Command-line surface: outputs, provenance, presets, exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -228,6 +229,46 @@ class TestIntegrate:
         assert summary["max_drift_f1"] is None
 
 
+    # sha256 of `altpd integrate --method rk45` output as recorded when rk45
+    # ran on scipy's solve_ivp (x86-64, numpy 2.4, scipy 1.17): the
+    # in-package stepper must write the same bytes.
+    @pytest.mark.parametrize(
+        "args, digests",
+        [
+            (
+                ["--p", "0.71,0.5,0.41,0.2", "--t", "10", "--out", "traj.csv"],
+                {
+                    "stdout": "92dd965aba852beb7037f05001117f5d01c892102f567fdda5c3923902a8a9d4",
+                    "traj.csv": "9d969934a192cf5ef8058caa70c27b1740fc0bab1100186a5dae917aa2491dc3",
+                },
+            ),
+            (
+                ["--p", "0.71,0.5,0.41,0.2", "--t", "10", "--format", "json"],
+                {"stdout": "d7560663b12c89139cf4ca38fbfcbed82555f9aeb83bf629e913f2304c6cdefb"},
+            ),
+            (
+                ["--p", "0.62,0.35,0.3,0.45", "--t", "10", "--format", "json"],
+                {"stdout": "e440050cb433383a5c169f8828d52f6695606524e660b80802eaf61a54c17e4d"},
+            ),
+            (
+                ["--n", "2", "--p", "random:2", "--t", "0.5"],
+                {"stdout": "8342189ff1dbead46e9638442dc9ac86ae2829ace2616d094eecef9414f2bde5"},
+            ),
+        ],
+        ids=["csv-file", "json", "json-boundary", "memory-two"],
+    )
+    def test_rk45_output_bytes_are_unchanged(
+        self, capsys, tmp_path, monkeypatch, args, digests
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(["integrate", "--method", "rk45", *args], capsys)
+        assert code == 0
+        written = {"stdout": out.encode()}
+        for name in digests.keys() - {"stdout"}:
+            written[name] = (tmp_path / name).read_bytes()
+        assert {k: hashlib.sha256(v).hexdigest() for k, v in written.items()} == digests
+
+
 class TestTorus:
     @pytest.mark.parametrize(
         "c,c1,c2", [("0.31", "0.355", "0.314"), ("0.4", "1.16422", "1.158")]
@@ -412,6 +453,36 @@ class TestConfigAndErrors:
 
     def test_import_leaves_scipy_integrate_unloaded(self):
         probe = "import sys, altpd.cli; print('scipy.integrate' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+    def test_no_subcommand_loads_scipy(self, tmp_path):
+        # scipy is a test-only dependency: importing the package, every
+        # subcommand and rk45 at memory 1 and 2 must run without it.
+        probe = f"""
+import contextlib, io, sys
+import numpy as np
+import altpd, altpd.cli
+from altpd.dynamics import integrate
+from altpd.strategy import PayoffParams
+params = PayoffParams(b=1.0, c=0.3)
+integrate(np.array([0.62, 0.35, 0.3, 0.45]), params, 3.0, method="rk45")
+integrate(np.full(16, 0.4), params, 0.5, method="rk45")
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["matrix", "--p", "allc", "--q", "tft"],
+        ["integrate", "--p", "0.71,0.5,0.41,0.2", "--t", "1"],
+        ["integrate", "--p", "0.71,0.5,0.41,0.2", "--t", "10", "--method", "rk45"],
+        ["integrate", "--n", "2", "--p", "random:2", "--t", "0.5", "--method", "rk45"],
+        ["torus", "--grid", "4", "--out", {str(tmp_path / "torus")!r}],
+        ["verify"],
+    ):
+        assert altpd.cli.main(argv) == 0, argv
+print("scipy" in sys.modules)
+"""
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True
         )

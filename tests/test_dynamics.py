@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from altpd.dynamics import (
+    _BOUNDARY_HI,
+    _BOUNDARY_LO,
     _DRIFT_SCALAR_ROWS,
     _field_raw,
     _field_scalar,
@@ -325,6 +327,84 @@ def test_rk45_lets_field_bugs_through(monkeypatch):
     monkeypatch.setattr("altpd.dynamics.field_closed_form", broken)
     with pytest.raises(ValueError, match="bug in the field"):
         integrate(np.array([0.62, 0.35, 0.3, 0.45]), PARAMS, 1.0, method="rk45")
+
+
+@pytest.mark.parametrize("calls", [8, 51, 150])
+def test_rk45_keeps_its_record_on_a_singular_halt(monkeypatch, calls):
+    # The field fails on call number calls + 1; every step accepted before
+    # that stays in the record, as rk4 keeps its steps through _march.
+    x0 = np.array([0.62, 0.35, 0.3, 0.45])
+    full = integrate(x0, PARAMS, 3.0, method="rk45")
+    made = 0
+
+    def failing(x, params):
+        nonlocal made
+        made += 1
+        if made > calls:
+            raise FieldSingularError("field denominator vanishes")
+        return field_closed_form(x, params)
+
+    monkeypatch.setattr("altpd.dynamics.field_closed_form", failing)
+    partial = integrate(x0, PARAMS, 3.0, method="rk45")
+    kept = partial.times.size
+    assert partial.status == "singular"
+    assert 1 < kept < full.times.size
+    assert np.array_equal(partial.times, full.times[:kept])
+    assert np.array_equal(partial.states, full.states[:kept])
+
+
+def _scipy_rk45(x0, t_final):
+    """The rk45 route as it ran on scipy's solve_ivp: the oracle for _dp45.
+
+    A terminal event ends the run where a coordinate reaches 1e-9 or
+    1 - 1e-9, and the event point it appends is dropped.
+    """
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+
+    def rhs(_t, y):
+        return field_closed_form(y, PARAMS) if y.size == 4 else field_numeric(y, PARAMS)
+
+    def exit_event(_t, y):
+        return min(float(np.min(y)) - _BOUNDARY_LO, _BOUNDARY_HI - float(np.max(y)))
+
+    exit_event.terminal = True
+    sol = solve_ivp(
+        rhs, (0.0, t_final), x0, method="RK45", rtol=1e-9, atol=1e-12,
+        events=exit_event,
+    )
+    times, states = sol.t, sol.y.T
+    if sol.status == 1:
+        return times[:-1], states[:-1], "boundary"
+    return times, states, "completed" if sol.success else "singular"
+
+
+def _assert_same_as_scipy(x0, t_final):
+    trajectory = integrate(x0, PARAMS, t_final, method="rk45")
+    times, states, status = _scipy_rk45(x0, t_final)
+    assert trajectory.status == status
+    assert np.array_equal(trajectory.times, times)
+    assert np.array_equal(trajectory.states, states)
+    return status
+
+
+@pytest.mark.parametrize("t_final", [3.0, 10.0])
+def test_rk45_matches_scipy_bit_for_bit(t_final):
+    rng = np.random.default_rng(2024)
+    statuses = [
+        _assert_same_as_scipy(rng.uniform(0.02, 0.98, 4), t_final)
+        for _ in range(40)
+    ]
+    assert {"completed", "boundary"} <= set(statuses)
+
+
+def test_rk45_matches_scipy_from_the_readme_point():
+    assert _assert_same_as_scipy(np.array([0.71, 0.5, 0.41, 0.2]), 10.0) == "completed"
+
+
+def test_rk45_matches_scipy_at_memory_two():
+    rng = np.random.default_rng(2025)
+    for _ in range(3):
+        assert _assert_same_as_scipy(rng.uniform(0.2, 0.8, 16), 0.5) == "completed"
 
 
 def test_interior_start_required():
