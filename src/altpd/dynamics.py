@@ -48,9 +48,10 @@ _ZERO_EIG_TOL = 1e-8
 _FIELD_ZERO_TOL = 1e-8
 _COMPLEX_STEP = 1e-20
 # conservation_drift steps its rows as one numpy batch only while more than
-# this many are live. A batch RK4 step costs about 200 us whatever the row
-# count (each stage is ~100 ufunc calls on short arrays) and a scalar row
-# step about 9 us, so the two cross near 20 rows (2-vCPU x86 host).
+# this many are live. A batch RK4 step costs about 240 us at up to 64 rows
+# (each stage is ~100 ufunc calls on short arrays) and a scalar row step
+# about 8.5 us, so the two cross near 28 rows (best of five, 2-vCPU x86
+# host). The switch point changes the cost, never the result.
 _DRIFT_SCALAR_ROWS = 16
 # A straggler is marched this many steps at a time, so the states kept for
 # its drift stay near 1 MB however long the run.
@@ -115,12 +116,12 @@ def _field_components(x1, x2, x3, x4, b, c):
 def _field_scalar(x1, x2, x3, x4, b, c):
     """Memory-1 field at one point given as plain floats.
 
-    Returns (denom, (g1, g2, g3, g4)) with the same operations, in the same
-    order, as _field_raw, so results agree bit for bit with
-    field_closed_form on a single state. Callers apply their own |denom| threshold; an exactly zero
-    denominator raises FieldSingularError here instead of dividing, and so
-    does a squared factor beyond the float range (float ** 2 raises
-    OverflowError where numpy would return inf).
+    Returns the flat tuple (denom, g1, g2, g3, g4) with the same operations,
+    in the same order, as _field_raw, so results agree bit for bit with
+    field_closed_form on a single state. Callers apply their own |denom|
+    threshold; an exactly zero denominator raises FieldSingularError here
+    instead of dividing, and so does a squared factor beyond the float
+    range (float ** 2 raises OverflowError where numpy would return inf).
     """
     try:
         e13, e2, denom = _field_components(x1, x2, x3, x4, b, c)
@@ -128,7 +129,8 @@ def _field_scalar(x1, x2, x3, x4, b, c):
         raise FieldSingularError("field denominator overflows") from None
     if denom == 0.0:
         raise FieldSingularError("field denominator vanishes")
-    return denom, (
+    return (
+        denom,
         x3 * x4 * e13 / denom,
         (1 - x1) * x4 * e2 / denom,
         -(x1 - 1) * x4 * e13 / denom,
@@ -300,36 +302,39 @@ def _rk4_step(rates, x, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_tuple(rates, y, dt, k1):
-    """One classical RK4 step on a tuple of floats; k1 is rates(y).
-
-    Same arithmetic as _rk4_step, element by element, without numpy's
-    per-call overhead on short states. The caller evaluates k1 so it can
-    inspect the start-of-step field before stepping.
-    """
-    half = 0.5 * dt
-    k2 = rates(tuple(v + half * k for v, k in zip(y, k1)))
-    k3 = rates(tuple(v + half * k for v, k in zip(y, k2)))
-    k4 = rates(tuple(v + dt * k for v, k in zip(y, k3)))
-    sixth = dt / 6.0
-    return tuple(
-        v + sixth * (a + 2.0 * p + 2.0 * q + r)
-        for v, a, p, q, r in zip(y, k1, k2, k3, k4)
-    )
-
-
 def _cube_step(params):
-    """Memory-1 RK4 step on tuples, guarded by the start-of-step denominator."""
+    """Memory-1 RK4 step on a tuple of floats.
+
+    The step is guarded by the start-of-step field denominator. The stages
+    and the combination are written out on named floats with the
+    expressions of _rk4_step, element by element and in the same order, so
+    the step agrees with it bit for bit without numpy's per-call overhead
+    on short states.
+    """
     b, c = params.b, params.c
 
-    def rates(y):
-        return _field_scalar(*y, b, c)[1]
-
     def step(x, dt):
-        denom, k1 = _field_scalar(*x, b, c)
+        x1, x2, x3, x4 = x
+        denom, a1, a2, a3, a4 = _field_scalar(x1, x2, x3, x4, b, c)
         if abs(denom) < _DENOMINATOR_TOL:
             raise FieldSingularError("field denominator vanishes")
-        return _rk4_tuple(rates, x, dt, k1)
+        half = 0.5 * dt
+        _, p1, p2, p3, p4 = _field_scalar(
+            x1 + half * a1, x2 + half * a2, x3 + half * a3, x4 + half * a4, b, c
+        )
+        _, q1, q2, q3, q4 = _field_scalar(
+            x1 + half * p1, x2 + half * p2, x3 + half * p3, x4 + half * p4, b, c
+        )
+        _, r1, r2, r3, r4 = _field_scalar(
+            x1 + dt * q1, x2 + dt * q2, x3 + dt * q3, x4 + dt * q4, b, c
+        )
+        sixth = dt / 6.0
+        return (
+            x1 + sixth * (a1 + 2.0 * p1 + 2.0 * q1 + r1),
+            x2 + sixth * (a2 + 2.0 * p2 + 2.0 * q2 + r2),
+            x3 + sixth * (a3 + 2.0 * p3 + 2.0 * q3 + r3),
+            x4 + sixth * (a4 + 2.0 * p4 + 2.0 * q4 + r4),
+        )
 
     return step
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _field_scalar, _march, _rk4_tuple, _step_count
+from .dynamics import _field_scalar, _march, _step_count
 from .errors import (
     DegenerateTorusError,
     FieldSingularError,
@@ -194,7 +194,7 @@ def _angle_rates(phi, psi, u, v, b, c):
     if abs(_toric_denominator_trig(s1, c1, s2, c2, u, v)) < _DENOMINATOR_TOL:
         raise ToricDenominatorError("toric denominator vanishes")
     try:
-        denom, (g1, g2, g3, g4) = _field_scalar(
+        denom, g1, g2, g3, g4 = _field_scalar(
             1.0 + u * s1, 1.0 + v * s2, u * c1, v * c2, b, c
         )
     except FieldSingularError:
@@ -387,11 +387,23 @@ def torus_trajectory(
     u, v = math.sqrt(pt.level.c1), math.sqrt(pt.level.c2)
     b, c = params.b, params.c
 
-    def rates(angles):
-        return _angle_rates(_wrap(angles[0]), _wrap(angles[1]), u, v, b, c)
+    def rates(phi, psi):
+        return _angle_rates(_wrap(phi), _wrap(psi), u, v, b, c)
 
     def step(y, dt):
-        return _rk4_tuple(rates, y, dt, rates(y))
+        # Classical RK4 written out on the two angles, with the expressions
+        # of dynamics._cube_step.
+        phi, psi = y
+        a1, a2 = rates(phi, psi)
+        half = 0.5 * dt
+        p1, p2 = rates(phi + half * a1, psi + half * a2)
+        q1, q2 = rates(phi + half * p1, psi + half * p2)
+        r1, r2 = rates(phi + dt * q1, psi + dt * q2)
+        sixth = dt / 6.0
+        return (
+            phi + sixth * (a1 + 2.0 * p1 + 2.0 * q1 + r1),
+            psi + sixth * (a2 + 2.0 * p2 + 2.0 * q2 + r2),
+        )
 
     return _march(
         step, (pt.phi, pt.psi), n_steps, dt, ToricDenominatorError, lambda y: True
@@ -427,26 +439,44 @@ def denominator_zero_segments(level: TorusLevel, resolution: int = 200) -> np.nd
     """
     ticks = np.linspace(0.0, _TWO_PI, resolution + 1)
     phi_grid, psi_grid = np.meshgrid(ticks, ticks, indexing="ij")
-    g = toric_denominator(phi_grid, psi_grid, level)
-    segments = []
-    for i in range(resolution):
-        for j in range(resolution):
-            corners = (
-                (ticks[i], ticks[j], g[i, j]),
-                (ticks[i + 1], ticks[j], g[i + 1, j]),
-                (ticks[i + 1], ticks[j + 1], g[i + 1, j + 1]),
-                (ticks[i], ticks[j + 1], g[i, j + 1]),
-            )
-            crossings = []
-            for a in range(4):
-                xa, ya, ga = corners[a]
-                xb, yb, gb = corners[(a + 1) % 4]
-                if ga == 0.0:
-                    crossings.append((xa, ya))
-                elif ga * gb < 0.0:
-                    t = ga / (ga - gb)
-                    crossings.append((xa + t * (xb - xa), ya + t * (yb - ya)))
-            for a in range(0, len(crossings) - 1, 2):
-                (x1, y1), (x2, y2) = crossings[a], crossings[a + 1]
-                segments.append((x1, y1, x2, y2))
-    return np.asarray(segments) if segments else np.empty((0, 4))
+    return _march_cells(ticks, toric_denominator(phi_grid, psi_grid, level))
+
+
+# Corner offsets (di, dj) of a cell, in its walking order.
+_CELL_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
+def _march_cells(ticks, g) -> np.ndarray:
+    """Marching squares over the cells of g sampled at (ticks[i], ticks[j]).
+
+    Walks each cell's edges from corner a to corner a + 1 in the order of
+    _CELL_CORNERS. An edge crosses where its start value is exactly zero
+    (at that corner) or where the values at its ends have opposite signs
+    (interpolated linearly). The crossings are gathered edge by edge over
+    all cells, ordered by (cell, edge), and paired first with second and
+    third with fourth within each cell, so no per-cell stack is built.
+    """
+    n = len(ticks) - 1
+    cells, edges, xs, ys = [], [], [], []
+    for edge in range(4):
+        (ia, ja), (ib, jb) = _CELL_CORNERS[edge], _CELL_CORNERS[(edge + 1) % 4]
+        ga = g[ia:ia + n, ja:ja + n]
+        gb = g[ib:ib + n, jb:jb + n]
+        cell = np.flatnonzero((ga == 0.0) | (ga * gb < 0.0))
+        i, j = np.divmod(cell, n)
+        ga, gb = g[i + ia, j + ja], g[i + ib, j + jb]
+        xa, xb, ya, yb = ticks[i + ia], ticks[i + ib], ticks[j + ja], ticks[j + jb]
+        zero = ga == 0.0
+        t = ga / np.where(zero, 1.0, ga - gb)
+        xs.append(np.where(zero, xa, xa + t * (xb - xa)))
+        ys.append(np.where(zero, ya, ya + t * (yb - ya)))
+        cells.append(cell)
+        edges.append(np.full(cell.size, edge))
+    cells, edges = np.concatenate(cells), np.concatenate(edges)
+    order = np.lexsort((edges, cells))
+    cells = cells[order]
+    xs, ys = np.concatenate(xs)[order], np.concatenate(ys)[order]
+    rank = np.arange(cells.size) - np.searchsorted(cells, cells)
+    first = np.flatnonzero(rank[:-1] % 2 == 0)
+    first = first[cells[first + 1] == cells[first]]
+    return np.column_stack([xs[first], ys[first], xs[first + 1], ys[first + 1]])

@@ -108,6 +108,7 @@ def _check_symmetry(rng, memory: int, params: PayoffParams) -> CheckResult:
 
 def _check_torus(rng, params: PayoffParams) -> CheckResult:
     worst = 0.0
+    compared = 0
     for _ in range(5):
         x0 = rng.uniform(0.25, 0.75, 4)
         cube = integrate(x0, params, 5.0)
@@ -119,7 +120,11 @@ def _check_torus(rng, params: PayoffParams) -> CheckResult:
             continue
         end = to_cube(TorusPoint(path[-1, 0], path[-1, 1], pt.level))
         worst = max(worst, float(np.max(np.abs(end - cube.final))))
-    return CheckResult("torus commuting diagram", worst < 1e-6, worst, 1e-6, "T=5")
+        compared += 1
+    # With no start compared, a worst deviation of 0 proves nothing.
+    passed = compared > 0 and worst < 1e-6
+    detail = "T=5" if compared else "T=5, 0 of 5 starts completed"
+    return CheckResult("torus commuting diagram", passed, worst, 1e-6, detail)
 
 
 def _check_oracle(rng, memory: int, params: PayoffParams) -> CheckResult:

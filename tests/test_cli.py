@@ -269,7 +269,62 @@ class TestIntegrate:
         assert {k: hashlib.sha256(v).hexdigest() for k, v in written.items()} == digests
 
 
+    # sha256 of `altpd integrate` rk4 output from the README point, as
+    # recorded before the RK4 stages were written out on named floats.
+    def test_rk4_output_bytes_are_unchanged(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(
+            ["integrate", "--p", "0.71,0.5,0.41,0.2", "--t", "10", "--out", "run.csv"],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1039535b88e0fcd10a31e5bf26d07f3b98e19ee32c1a7d061d2f32a729482792"
+        )
+        assert hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest() == (
+            "af985622950dc75c7ad6a5f7dd87492e3d2da4301d1643da783a0b9d59789708"
+        )
+
+
 class TestTorus:
+    # sha256 of `altpd torus` output as recorded when the contour was walked
+    # one cell at a time and the angles stepped on the generic tuple RK4.
+    @pytest.mark.parametrize(
+        "args, digests",
+        [
+            (
+                ["--c", "0.31", "--c1", "0.355", "--c2", "0.314"],
+                {
+                    "fig_field.csv": "1d7ae04a8e513801187b3ca25f71041638431a8a1e88359dbe43685a44b244aa",
+                    "fig_contour.csv": "67462d876650eebf5f6c6a0c75bee67fe0efb158dd845f948c63556607d613dd",
+                    "fig_equilibria.json": "a4a0363d5850d507744a72cbde275ba203d903cf87b91f88a18023257af75db3",
+                },
+            ),
+            (
+                ["--c", "0.4", "--c1", "1.16422", "--c2", "1.158"],
+                {
+                    "fig_field.csv": "e331610011e1f7ba61fbcbd0a3de6abfc339abe4ab238cc0ee10ba8891c2a6bb",
+                    "fig_contour.csv": "afe8d4db83b5a86d322e31aa63886a657c5f2ec152fe7ebabb12f4571ce2d0c7",
+                    "fig_equilibria.json": "e57c8300b84de2a01aaccbf9b82cdf60ea6046ddaa5466d949064d45c8a526ce",
+                },
+            ),
+        ],
+        ids=["levels-below-one", "levels-above-one"],
+    )
+    def test_output_bytes_are_unchanged(
+        self, capsys, tmp_path, monkeypatch, args, digests
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(["torus", *args, "--out", "fig"], capsys)
+        assert code == 0
+        written = {"stdout": out.encode()}
+        for name in digests:
+            written[name] = (tmp_path / name).read_bytes()
+        assert {k: hashlib.sha256(v).hexdigest() for k, v in written.items()} == {
+            "stdout": "4eb66ef2a9f7e71ca98acb1c9788906d9a7b92a6bbbb16cb0da2f8550c4b0533",
+            **digests,
+        }
+
     @pytest.mark.parametrize(
         "c,c1,c2", [("0.31", "0.355", "0.314"), ("0.4", "1.16422", "1.158")]
     )
@@ -325,6 +380,35 @@ class TestVerify:
         assert any("oracle" in line for line in lines)
         assert any("commuting" in line or "torus" in line for line in lines)
         assert err == ""
+
+    # sha256 of `altpd verify` stdout as recorded before the RK4 stages were
+    # written out on named floats; each of these seeds compares at least one
+    # torus start.
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ([], "962941a4c4f066f176f95c95b4d589ada42d9593cd7d51deb0559247acbd4377"),
+            (["--n", "1"], "962941a4c4f066f176f95c95b4d589ada42d9593cd7d51deb0559247acbd4377"),
+            (["--seed", "11"], "b6ce02931aa7109d33fd99059f28746180d98f00f304ee0b2b0f2b999dde0444"),
+        ],
+        ids=["default", "memory-one", "seed-11"],
+    )
+    def test_output_bytes_are_unchanged(self, capsys, args, digest):
+        code, out, _ = run_cli(["verify", *args], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_torus_check_fails_when_no_start_completes(self, capsys):
+        # At seed 26 all five cube orbits halt at the boundary, so the
+        # commuting diagram is never compared.
+        code, out, err = run_cli(["verify", "--seed", "26"], capsys)
+        assert code == 1
+        failing = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert failing == [
+            "FAIL torus commuting diagram: measured 0.0 tolerance 1e-06"
+            " (T=5, 0 of 5 starts completed)"
+        ]
+        assert "torus commuting diagram" in err
 
     def test_corrupted_payoff_fails_reversal(self, capsys):
         code, out, err = run_cli(

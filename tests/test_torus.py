@@ -1,11 +1,14 @@
 """Torus reduction: coordinates, rectangles, reduced field, equilibria."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from altpd.dynamics import (
+    _march,
+    _step_count,
     field_closed_form,
     integrate,
     interior_plane_point,
@@ -18,6 +21,9 @@ from altpd.errors import (
 )
 from altpd.strategy import PayoffParams
 from altpd.torus import (
+    _angle_rates,
+    _march_cells,
+    _wrap,
     AdmissibleRectangle,
     TorusLevel,
     TorusPoint,
@@ -97,6 +103,62 @@ def reference_trajectory(pt, params, t_final, dt):
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         path.append(y)
     return np.asarray(path), "completed"
+
+
+def tuple_rk4_trajectory(pt, params, t_final, dt):
+    """The generic tuple RK4 over _angle_rates, driven by _march.
+
+    Each stage rebuilds the state with a tuple generator, as torus_trajectory
+    stepped before its stages were written out on the two angles.
+    """
+    u, v = math.sqrt(pt.level.c1), math.sqrt(pt.level.c2)
+
+    def rates(y):
+        return _angle_rates(_wrap(y[0]), _wrap(y[1]), u, v, params.b, params.c)
+
+    def step(y, dt):
+        k1 = rates(y)
+        half = 0.5 * dt
+        k2 = rates(tuple(w + half * k for w, k in zip(y, k1)))
+        k3 = rates(tuple(w + half * k for w, k in zip(y, k2)))
+        k4 = rates(tuple(w + dt * k for w, k in zip(y, k3)))
+        sixth = dt / 6.0
+        return tuple(
+            w + sixth * (a + 2.0 * p + 2.0 * q + r)
+            for w, a, p, q, r in zip(y, k1, k2, k3, k4)
+        )
+
+    n_steps = _step_count(t_final, dt)
+    return _march(
+        step, (pt.phi, pt.psi), n_steps, dt, ToricDenominatorError, lambda y: True
+    )
+
+
+def per_cell_segments(ticks, g):
+    """Marching squares one cell at a time, walking each cell's four edges."""
+    resolution = len(ticks) - 1
+    segments = []
+    for i in range(resolution):
+        for j in range(resolution):
+            corners = (
+                (ticks[i], ticks[j], g[i, j]),
+                (ticks[i + 1], ticks[j], g[i + 1, j]),
+                (ticks[i + 1], ticks[j + 1], g[i + 1, j + 1]),
+                (ticks[i], ticks[j + 1], g[i, j + 1]),
+            )
+            crossings = []
+            for a in range(4):
+                xa, ya, ga = corners[a]
+                xb, yb, gb = corners[(a + 1) % 4]
+                if ga == 0.0:
+                    crossings.append((xa, ya))
+                elif ga * gb < 0.0:
+                    t = ga / (ga - gb)
+                    crossings.append((xa + t * (xb - xa), ya + t * (yb - ya)))
+            for a in range(0, len(crossings) - 1, 2):
+                (x1, y1), (x2, y2) = crossings[a], crossings[a + 1]
+                segments.append((x1, y1, x2, y2))
+    return np.asarray(segments) if segments else np.empty((0, 4))
 
 
 class TestLevelAndPoint:
@@ -504,6 +566,31 @@ class TestTrajectory:
             statuses.append(status)
         assert statuses.count("singular") >= 1 and statuses.count("completed") >= 20
 
+    def test_written_out_step_matches_the_tuple_route_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        # The first start sits on the G = 0 curve and halts "singular".
+        singular = TorusPoint(0.0, math.pi / 2, TorusLevel(0.5, 0.5))
+        starts = [(PayoffParams(1.0, 0.3), singular)]
+        for k in range(40):
+            params = PayoffParams(1.0, rng.uniform(0.1, 0.9))
+            level = TorusLevel(rng.uniform(0.05, 1.95), rng.uniform(0.05, 1.95))
+            if k % 2:
+                pt = random_admissible_point(rng, level)
+            else:
+                pt = TorusPoint(*rng.uniform(0.0, TWO_PI, 2), level)
+            starts.append((params, pt))
+        statuses = []
+        for params, pt in starts:
+            times, path, status = torus_trajectory(pt, params, 3.0)
+            want_times, want_path, want_status = tuple_rk4_trajectory(
+                pt, params, 3.0, 1e-3
+            )
+            assert status == want_status
+            assert np.array_equal(times, want_times)
+            assert np.array_equal(path, want_path)
+            statuses.append(status)
+        assert statuses[0] == "singular" and statuses.count("completed") >= 30
+
     @pytest.mark.parametrize(
         "t_final, dt",
         [(1.0, math.inf), (1.0, math.nan), (1.0, -1e-3), (1.0, 0.0),
@@ -570,3 +657,53 @@ class TestGridExports:
             for x1, y1, x2, y2 in segs:
                 assert not rect.contains(x1, y1, tol=-0.02)
                 assert not rect.contains(x2, y2, tol=-0.02)
+
+    def test_gathered_contour_matches_the_per_cell_walk(self):
+        rng = np.random.default_rng(41)
+        # Levels on both sides of 1 in each coordinate.
+        levels = [
+            TorusLevel(rng.uniform(lo1, hi1), rng.uniform(lo2, hi2))
+            for lo1, hi1, lo2, hi2 in (
+                (0.02, 1.0, 0.02, 1.0),
+                (1.0, 2.0, 0.02, 1.0),
+                (0.02, 1.0, 1.0, 2.0),
+                (1.0, 2.0, 1.0, 2.0),
+            )
+            for _ in range(8)
+        ]
+        for resolution in (3, 17, 200):
+            ticks = np.linspace(0.0, TWO_PI, resolution + 1)
+            phi, psi = np.meshgrid(ticks, ticks, indexing="ij")
+            for level in levels:
+                got = denominator_zero_segments(level, resolution)
+                want = per_cell_segments(ticks, toric_denominator(phi, psi, level))
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    def test_cell_walk_takes_exact_zeros_at_corners(self):
+        # Trigonometric grids sample G = 0 exactly only here and there; a
+        # synthetic grid puts exact zeros (of either sign) on many corners
+        # and along a whole grid line.
+        rng = np.random.default_rng(43)
+        zeros = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            ticks = np.sort(rng.uniform(0.0, 7.0, n + 1))
+            g = rng.choice([-2.5, -1.0, -0.0, 0.0, 0.0, 0.5, 3.0], size=(n + 1, n + 1))
+            g[int(rng.integers(n + 1)), :] = 0.0
+            zeros += int(np.count_nonzero(g == 0.0))
+            got = _march_cells(ticks, g)
+            want = per_cell_segments(ticks, g)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert zeros > 0
+
+    def test_contour_stays_small_in_memory(self):
+        level = TorusLevel(*PANEL_A[1:])
+        tracemalloc.start()
+        try:
+            denominator_zero_segments(level, 200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
