@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonUniqueStationaryError
-from .strategy import Strategy, state_label
+from .strategy import Strategy, _shared_memory, state_label
 
 __all__ = [
     "TransitionMatrix",
@@ -39,12 +39,6 @@ class TransitionMatrix:
         return [state_label(i, self.memory) for i in range(self.entries.shape[0])]
 
 
-def _check_pair(p: Strategy, q: Strategy) -> int:
-    if p.memory != q.memory:
-        raise ValueError("leader and follower must share the same memory length")
-    return p.memory
-
-
 def build_matrix_direct(p: Strategy, q: Strategy) -> TransitionMatrix:
     """Shift-and-append construction, entry by entry.
 
@@ -53,7 +47,7 @@ def build_matrix_direct(p: Strategy, q: Strategy) -> TransitionMatrix:
     at the columns obtained by dropping h's oldest round and appending the
     fresh (a, b) pair; kA is the follower index for leader action A.
     """
-    memory = _check_pair(p, q)
+    memory = _shared_memory(p, q)
     n = 4**memory
     mask = n - 1
     m = np.zeros((n, n))
@@ -115,7 +109,7 @@ def _pattern(memory: int):
 
 def build_matrix_recursive(p: Strategy, q: Strategy) -> TransitionMatrix:
     """Block-recursive construction; must agree with the direct one to 1e-15."""
-    memory = _check_pair(p, q)
+    memory = _shared_memory(p, q)
     if memory == 1:
         raise ValueError("recursion base is memory 1")
     col, p_idx, p_comp, q_idx, q_comp = _pattern(memory)

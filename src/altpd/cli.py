@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain import build_matrix_direct, is_irreducible, stationary
-from .dynamics import classify_equilibrium, integrate, invariants
+from .dynamics import _step_count, classify_equilibrium, integrate, invariants
 from .errors import DegeneracyError
 from .payoff import build_payoff_vector, payoff_by_determinant
 from .strategy import (
@@ -75,12 +75,10 @@ class RunConfig:
     out: str = _option(None, "output path (matrix/integrate) or prefix (torus)")
 
     def validate(self) -> None:
-        if not 0.0 < self.c < self.b:
-            raise ValueError("costs must satisfy 0 < c < b")
+        self.params  # PayoffParams raises unless 0 < c < b
         if self.n not in (1, 2, 3):
             raise ValueError("memory must be 1, 2, or 3")
-        if not (0.0 < self.t < math.inf and 0.0 < self.dt < math.inf):
-            raise ValueError("t and dt must be finite and positive")
+        _step_count(self.t, self.dt)  # raises unless t, dt, t / dt are finite, > 0
         if self.method not in ("rk4", "rk45"):
             raise ValueError("method must be rk4 or rk45")
         if self.grid < 2:

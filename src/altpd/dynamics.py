@@ -171,13 +171,6 @@ def field_closed_form(x, params: PayoffParams) -> np.ndarray:
     return field
 
 
-def _memory_from_size(d: int) -> int:
-    memory = round(math.log(d, 4))
-    if 4**memory != d:
-        raise ValueError("state length must be a power of four")
-    return memory
-
-
 def field_numeric(x, params: PayoffParams, h: float = 1e-6) -> np.ndarray:
     """Field for any memory: central differences of the determinant payoff.
 
@@ -189,7 +182,6 @@ def field_numeric(x, params: PayoffParams, h: float = 1e-6) -> np.ndarray:
         raise ValueError("field_numeric takes a single state vector")
     if np.any(x <= h) or np.any(x >= 1.0 - h):
         raise ValueError("state must lie in (h, 1-h) for the stencil")
-    _memory_from_size(x.size)
     follower = Strategy(tuple(x))
     out = np.empty(x.size)
     for i in range(x.size):
@@ -249,13 +241,20 @@ class InvariantPair:
     f2: float
 
 
+def _levels(x):
+    # The two conserved quantities over the last axis of memory-1 states.
+    return (
+        (x[..., 0] - 1.0) ** 2 + x[..., 2] ** 2,
+        (x[..., 1] - 1.0) ** 2 + x[..., 3] ** 2,
+    )
+
+
 def invariants(x) -> InvariantPair:
     """(x1-1)^2 + x3^2 and (x2-1)^2 + x4^2 (memory 1)."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 4:
         raise ValueError("invariants are defined for memory 1")
-    f1 = (x[..., 0] - 1.0) ** 2 + x[..., 2] ** 2
-    f2 = (x[..., 1] - 1.0) ** 2 + x[..., 3] ** 2
+    f1, f2 = _levels(x)
     return InvariantPair(float(f1), float(f2)) if x.ndim == 1 else InvariantPair(f1, f2)
 
 
@@ -543,8 +542,7 @@ def conservation_drift(
     def rates(y):
         return _field_raw(y, b, c)[1]
 
-    f1_0 = (x[:, 0] - 1.0) ** 2 + x[:, 2] ** 2
-    f2_0 = (x[:, 1] - 1.0) ** 2 + x[:, 3] ** 2
+    f1_0, f2_0 = _levels(x)
     drift1 = np.zeros(x.shape[0])
     drift2 = np.zeros(x.shape[0])
     active = np.ones(x.shape[0], dtype=bool)
@@ -556,8 +554,7 @@ def conservation_drift(
         x[idx[inside]] = stepped[inside]
         active[idx[~inside]] = False
         live = idx[inside]
-        f1 = (x[live, 0] - 1.0) ** 2 + x[live, 2] ** 2
-        f2 = (x[live, 1] - 1.0) ** 2 + x[live, 3] ** 2
+        f1, f2 = _levels(x[live])
         drift1[live] = np.maximum(drift1[live], np.abs(f1 - f1_0[live]))
         drift2[live] = np.maximum(drift2[live], np.abs(f2 - f2_0[live]))
         done += 1
@@ -567,8 +564,7 @@ def conservation_drift(
         while left and status == "completed":
             count = min(left, _DRIFT_CHUNK)
             _, s, status = _march(step, y, count, dt, FieldSingularError, _interior)
-            f1 = (s[:, 0] - 1.0) ** 2 + s[:, 2] ** 2
-            f2 = (s[:, 1] - 1.0) ** 2 + s[:, 3] ** 2
+            f1, f2 = _levels(s)
             drift1[i] = max(drift1[i], np.max(np.abs(f1 - f1_0[i])))
             drift2[i] = max(drift2[i], np.max(np.abs(f2 - f2_0[i])))
             y, left = tuple(s[-1].tolist()), left - count

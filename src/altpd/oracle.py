@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .strategy import PayoffParams, Strategy
+from .strategy import PayoffParams, Strategy, _shared_memory
 
 __all__ = ["SimulationResult", "simulate"]
 
@@ -96,8 +96,7 @@ def simulate(
     1.5x the plain loop. rounds, burn_in and seed must be integers
     (bool is refused), seed non-negative; ValueError otherwise.
     """
-    if p.memory != q.memory:
-        raise ValueError("leader and follower must share the same memory length")
+    _shared_memory(p, q)
     rounds = _integer("rounds", rounds)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")

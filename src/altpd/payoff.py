@@ -13,7 +13,7 @@ import numpy as np
 
 from .chain import TransitionMatrix, build_matrix_direct, stationary
 from .errors import SingularPayoffError
-from .strategy import PayoffParams, Strategy, raw_from_donation
+from .strategy import PayoffParams, Strategy, decode_history, raw_from_donation
 
 __all__ = [
     "build_payoff_vector",
@@ -24,6 +24,16 @@ __all__ = [
 ]
 
 
+def _stacked(rstp, memory: int) -> np.ndarray:
+    # The stacking recursion over float or Fraction (object array) entries.
+    if memory < 1:
+        raise ValueError("memory must be >= 1")
+    f = np.array(rstp)
+    for _ in range(memory - 1):
+        f = np.concatenate([f + v for v in rstp])
+    return f / memory
+
+
 def build_payoff_vector(params: PayoffParams, memory: int) -> np.ndarray:
     """Mean per-round payoff of the leader for each remembered history.
 
@@ -31,13 +41,7 @@ def build_payoff_vector(params: PayoffParams, memory: int) -> np.ndarray:
     the memory-(N-1) vector offset by R, S, T, P (the payoff of the oldest
     remembered round), normalized by the window length N.
     """
-    if memory < 1:
-        raise ValueError("memory must be >= 1")
-    rstp = params.rstp
-    f = np.array(rstp)
-    for _ in range(memory - 1):
-        f = np.concatenate([f + v for v in rstp])
-    return f / memory
+    return _stacked(params.rstp, memory)
 
 
 def payoff_by_stationary(p: Strategy, q: Strategy, params: PayoffParams) -> float:
@@ -71,17 +75,16 @@ def payoff_by_determinant(
     return float(np.linalg.det(numerator) / det_den)
 
 
-def _fraction_vector(params: PayoffParams, memory: int) -> list:
-    rstp = [
-        Fraction(params.b) - Fraction(params.c),
-        -Fraction(params.c),
-        Fraction(params.b),
-        Fraction(0),
-    ]
-    f = list(rstp)
-    for _ in range(memory - 1):
-        f = [prev + v for v in rstp for prev in f]
-    return [value / memory for value in f]
+def _exact_payoff_vector(params: PayoffParams, memory: int) -> np.ndarray:
+    """build_payoff_vector in exact rationals, as an object array of Fractions."""
+    b, c = Fraction(params.b), Fraction(params.c)
+    return _stacked((b - c, -c, b, Fraction(0)), memory)
+
+
+def _reversal_gap(f, params: PayoffParams) -> Fraction:
+    """Exact max |f + reversed f - (R+P)| over a Fraction payoff vector."""
+    constant = Fraction(params.b) - Fraction(params.c)  # R + P
+    return max(abs(a + b - constant) for a, b in zip(f, reversed(f)))
 
 
 def reversal_identity_check(params: PayoffParams, memory: int):
@@ -91,11 +94,8 @@ def reversal_identity_check(params: PayoffParams, memory: int):
     so paired entries of f sum to the constant R+P. The check runs in exact
     rational arithmetic so "holds" means an identity, not a tolerance.
     """
-    f = _fraction_vector(params, memory)
-    constant = Fraction(params.b) - Fraction(params.c)  # R + P
-    n = len(f)
-    holds = all(-f[i] + constant == f[n - 1 - i] for i in range(n))
-    return holds, float(constant)
+    holds = _reversal_gap(_exact_payoff_vector(params, memory), params) == 0
+    return holds, params.r + params.p
 
 
 def check_well_defined(
@@ -118,7 +118,7 @@ def check_well_defined(
     leader = np.empty(n)
     follower = np.empty(n)
     for index in range(n):
-        bits = [(index >> shift) & 1 for shift in reversed(range(2 * memory))]
+        bits = [symbol == "D" for symbol in decode_history(index, memory).word]
         # Leader's word: rounds oldest first, own choice then the reply.
         total = 0.0
         for k in range(memory):

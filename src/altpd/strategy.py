@@ -169,6 +169,13 @@ class Strategy:
         return float(self.probs[index])
 
 
+def _shared_memory(p: Strategy, q: Strategy) -> int:
+    """Memory of a leader/follower pair; ValueError unless both agree."""
+    if p.memory != q.memory:
+        raise ValueError("leader and follower must share the same memory length")
+    return p.memory
+
+
 def all_c(memory: int) -> Strategy:
     """Unconditional cooperation."""
     return Strategy(np.ones(4**memory))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .chain import TransitionMatrix, build_matrix_direct, stationary
 from .payoff import build_payoff_vector
-from .strategy import PayoffParams, Strategy
+from .strategy import PayoffParams, Strategy, _shared_memory
 
 __all__ = [
     "build_admissible",
@@ -72,8 +72,7 @@ def conjugation_action(p: Strategy, q: Strategy, which: int):
     for the leader, J4 composes both, which complements every slot: the
     reversal map v -> 1 - v reversed.
     """
-    if p.memory != q.memory:
-        raise ValueError("leader and follower must share the same memory length")
+    _shared_memory(p, q)
     n = p.n_states
     idx = np.arange(n)
     if which == 1:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _field_scalar, _march, _step_count
+from .dynamics import _DENOMINATOR_TOL, _field_scalar, _levels, _march, _step_count
 from .errors import (
     DegenerateTorusError,
     FieldSingularError,
@@ -49,7 +49,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _DEGENERATE_TOL = 1e-14
-_DENOMINATOR_TOL = 1e-14
 _EQUILIBRIUM_FIELD_TOL = 1e-8
 _ANGLE_DEDUPE_TOL = 1e-7
 
@@ -123,8 +122,7 @@ def to_torus(x) -> TorusPoint:
     x = np.asarray(x, dtype=float)
     if x.shape != (4,):
         raise ValueError("torus coordinates are defined for memory 1")
-    c1 = (x[0] - 1.0) ** 2 + x[2] ** 2
-    c2 = (x[1] - 1.0) ** 2 + x[3] ** 2
+    c1, c2 = _levels(x)
     if c1 < _DEGENERATE_TOL or c2 < _DEGENERATE_TOL:
         raise DegenerateTorusError("point on a degenerate torus")
     phi = math.atan2(x[0] - 1.0, x[2])

@@ -15,7 +15,12 @@ import numpy as np
 from .chain import build_matrix_direct, build_matrix_recursive, stationary
 from .dynamics import conservation_drift, integrate
 from .oracle import simulate
-from .payoff import _fraction_vector, payoff_by_determinant, payoff_by_stationary
+from .payoff import (
+    _exact_payoff_vector,
+    _reversal_gap,
+    payoff_by_determinant,
+    payoff_by_stationary,
+)
 from .strategy import PayoffParams, random_strategy
 from .symmetry import build_admissible, verify_admissibility
 from .torus import TorusPoint, to_cube, to_torus, torus_trajectory
@@ -73,14 +78,11 @@ def _check_payoff(rng, memory: int, params: PayoffParams) -> CheckResult:
 
 def _check_reversal(memory: int, params: PayoffParams, corrupt: bool) -> CheckResult:
     worst = Fraction(0)
-    total = Fraction(params.b) - Fraction(params.c)
     for n in range(1, max(memory, 2) + 1):
-        f = _fraction_vector(params, n)
+        f = _exact_payoff_vector(params, n)
         if corrupt:
             f[0] += Fraction(1, 10**6)
-        image = [-v + total for v in f]
-        reversed_f = list(reversed(f))
-        worst = max(worst, max(abs(a - b) for a, b in zip(image, reversed_f)))
+        worst = max(worst, _reversal_gap(f, params))
     detail = "payoff vector corrupted by 1e-6" if corrupt else "exact rational arithmetic"
     return CheckResult("reversal identity", worst == 0, float(worst), 0.0, detail)
 

@@ -17,6 +17,9 @@ from altpd.dynamics import win_loss_exchange
 from altpd.strategy import Strategy, random_strategy
 
 
+INTEGRATE = ["integrate", "--p", "0.62,0.35,0.3,0.45"]
+
+
 def run_cli(args, capsys):
     """Invoke main() in-process; argparse failures surface as SystemExit."""
     try:
@@ -382,20 +385,23 @@ class TestVerify:
         assert err == ""
 
     # sha256 of `altpd verify` stdout as recorded before the RK4 stages were
-    # written out on named floats; each of these seeds compares at least one
-    # torus start.
+    # written out on named floats; each of these memory-1 seeds compares at
+    # least one torus start. The memory-3 digests were recorded before the
+    # exact payoff vector and the reversal gap were each written once.
     @pytest.mark.parametrize(
-        "args, digest",
+        "args, code, digest",
         [
-            ([], "962941a4c4f066f176f95c95b4d589ada42d9593cd7d51deb0559247acbd4377"),
-            (["--n", "1"], "962941a4c4f066f176f95c95b4d589ada42d9593cd7d51deb0559247acbd4377"),
-            (["--seed", "11"], "b6ce02931aa7109d33fd99059f28746180d98f00f304ee0b2b0f2b999dde0444"),
+            ([], 0, "962941a4c4f066f176f95c95b4d589ada42d9593cd7d51deb0559247acbd4377"),
+            (["--n", "1"], 0, "962941a4c4f066f176f95c95b4d589ada42d9593cd7d51deb0559247acbd4377"),
+            (["--seed", "11"], 0, "b6ce02931aa7109d33fd99059f28746180d98f00f304ee0b2b0f2b999dde0444"),
+            (["--n", "3", "--seed", "5"], 0, "7a0cf7742f1e290acb0fd699e239340295489ee88e67d71a3445eefc0fe9f389"),
+            (["--n", "3", "--corrupt-payoff"], 1, "de8a3834959dd5e430ca2c2db4244359a0adf03434fb903eb5b756f2856688a0"),
         ],
-        ids=["default", "memory-one", "seed-11"],
+        ids=["default", "memory-one", "seed-11", "memory-three-seed-5", "memory-three-corrupt"],
     )
-    def test_output_bytes_are_unchanged(self, capsys, args, digest):
-        code, out, _ = run_cli(["verify", *args], capsys)
-        assert code == 0
+    def test_output_bytes_are_unchanged(self, capsys, args, code, digest):
+        exit_code, out, _ = run_cli(["verify", *args], capsys)
+        assert exit_code == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_torus_check_fails_when_no_start_completes(self, capsys):
@@ -522,15 +528,19 @@ class TestConfigAndErrors:
         assert "--p" in err and "strategy" in err
         assert "SVD" not in err
 
+    # Every subcommand applies the step rule, even those that never step.
     @pytest.mark.parametrize(
         "flags",
-        [["--dt", "inf"], ["--dt", "nan"], ["--t", "inf"], ["--t", "nan"],
-         ["--dt=-1e-3"], ["--dt", "0"], ["--t", "1e300", "--dt", "1e-10"]],
+        [[*INTEGRATE, "--dt", "inf"], [*INTEGRATE, "--dt", "nan"],
+         [*INTEGRATE, "--t", "inf"], [*INTEGRATE, "--t", "nan"],
+         [*INTEGRATE, "--dt=-1e-3"], [*INTEGRATE, "--dt", "0"],
+         [*INTEGRATE, "--t", "1e300", "--dt", "1e-10"],
+         ["torus", "--t", "1e300", "--dt", "1e-10"],
+         ["matrix", "--p", "allc", "--q", "allc", "--t", "1e300", "--dt", "1e-10"]],
     )
-    def test_non_finite_times_exit_64(self, capsys, flags):
-        code, _, err = run_cli(
-            ["integrate", "--p", "0.62,0.35,0.3,0.45", *flags], capsys
-        )
+    def test_non_finite_times_exit_64(self, capsys, tmp_path, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)  # a torus run that got through writes here
+        code, _, err = run_cli(flags, capsys)
         assert code == 64
         assert "t and dt" in err
         assert "Traceback" not in err

@@ -94,6 +94,11 @@ def test_numeric_field_requires_room_for_the_stencil():
         field_numeric(np.array([0.5, 0.5, 0.5, 1e-8]), PARAMS)
 
 
+def test_numeric_field_rejects_a_length_that_is_not_a_power_of_four():
+    with pytest.raises(ValueError):
+        field_numeric(np.full(5, 0.5), PARAMS)
+
+
 # ---- symmetry of the field ----
 
 

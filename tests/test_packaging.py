@@ -1,9 +1,14 @@
-"""Packaging: the package imports nothing it does not declare."""
+"""Packaging: the package imports nothing it does not declare, and its
+public names each come from one module."""
 
 import ast
+import importlib
 import re
 import sys
+from collections import Counter
 from pathlib import Path
+
+import altpd
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "altpd").glob("*.py"))
@@ -43,3 +48,20 @@ def test_every_import_is_stdlib_altpd_or_declared():
         if name not in allowed
     ]
     assert undeclared == []
+
+
+def test_each_public_name_comes_from_one_module():
+    # __init__ star-imports every module except cli, so a name exported by
+    # two of them would be silently shadowed by the later import.
+    modules = [
+        importlib.import_module(f"altpd.{path.stem}")
+        for path in SOURCES
+        if path.stem not in ("__init__", "cli")
+    ]
+    owners = Counter(name for module in modules for name in module.__all__)
+    assert [name for name, count in owners.items() if count > 1] == []
+    assert [name for name, count in Counter(altpd.__all__).items() if count > 1] == []
+    assert set(altpd.__all__) == set(owners)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(altpd, name) is getattr(module, name), name
