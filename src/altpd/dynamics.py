@@ -47,11 +47,14 @@ _BOUNDARY_HI = 1.0 - 1e-9
 _ZERO_EIG_TOL = 1e-8
 _FIELD_ZERO_TOL = 1e-8
 _COMPLEX_STEP = 1e-20
+# The field kernel's constants 1, 2 and -2 as Python numbers.
+_CONSTS = (1, 2, -2)
 # conservation_drift steps its rows as one numpy batch only while more than
-# this many are live. A batch RK4 step costs about 240 us at up to 64 rows
-# (each stage is ~100 ufunc calls on short arrays) and a scalar row step
-# about 8.5 us, so the two cross near 28 rows (best of five, 2-vCPU x86
-# host). The switch point changes the cost, never the result.
+# this many are live. A batch RK4 step costs about 195 us at 17 to 64 rows
+# (each stage is ~95 ufunc calls on short arrays, most with a 0-d operand)
+# and a scalar row step about 8.2 us, so the two cross near 24 rows (best
+# of five, 2-vCPU x86 host). The switch point changes the cost, never the
+# result.
 _DRIFT_SCALAR_ROWS = 16
 # A straggler is marched this many steps at a time, so the states kept for
 # its drift stay near 1 MB however long the run.
@@ -79,38 +82,58 @@ _DP_MAX_FACTOR = 10
 _DP_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
 
 
-def _field_components(x1, x2, x3, x4, b, c):
-    """Numerator blocks and common denominator of the memory-1 field.
+def _field_components(x1, x2, x3, x4, b, c, consts=_CONSTS):
+    """Common denominator and the four numerators of the memory-1 field.
 
     Pure arithmetic, so the inputs may be floats, arrays, or complex
     (complex inputs carry derivative information for the complex step).
+    consts holds the constants (1, 2, -2) in the caller's type, and b and c
+    take that type too: Python numbers for floats and complex, 0-d float
+    arrays for a batch. Either gives the same bits; on 64-row arrays numpy
+    combines an array with a 0-d array in about half the time it takes to
+    convert a Python number. Each repeated subexpression is computed once,
+    as the same expression tree at every use.
     """
+    one, two, minus_two = consts
+    x2_x4 = x2 - x4
+    x2_1 = x2 - one
+    k = x1 * x2 - x2 * x3 - one
+    two_x2_x3 = two * x2 * x3
+    two_x4 = two * x4
+    x3_x4 = x3 * x4
     e13 = (
-        b * (x2 - x4) * (x1 * (-x4) + x1 + x2 * (x3 - 1) - x3 + x4)
+        b * x2_x4 * (x1 * (-x4) + x1 + x2 * (x3 - one) - x3 + x4)
         + b * (x2 - x1)
         + c
         * (
-            x4 * (-2 * x1 * x2 + 2 * x2 * x3 + x2 + 1)
-            + (x2 - 1) * (x1 * x2 - x2 * x3 - 1)
-            + x4 * x4 * (x1 - x3 - 1)
+            x4 * (minus_two * x1 * x2 + two_x2_x3 + x2 + one)
+            + x2_1 * k
+            + x4 * x4 * (x1 - x3 - one)
         )
     )
     e2 = (
-        b * (x3 * (x1 * x2 - x2 * x3 - 1) + x1 * x4 * (x3 - x1) + x4)
+        b * (x3 * k + x1 * x4 * (x3 - x1) + x4)
         + c
         * (
-            x1 * x1 * (x2 - x4 - 1)
-            + x1 * x3 * (-2 * x2 + 2 * x4 + 1)
-            + x3 * (x3 + 1) * (x2 - x4)
+            x1 * x1 * (x2_x4 - one)
+            + x1 * x3 * (minus_two * x2 + two_x4 + one)
+            + x3 * (x3 + one) * x2_x4
             - x2
             + x4
-            + 1
+            + one
         )
     )
-    denom = (x1 * (x2 - 1) - 2 * x2 * x3 + x2 + x3 * x4 - 1) * (
-        x1 * (x2 - 2 * x4 - 1) - x2 + (x3 + 2) * x4 + 1
+    denom = (x1 * x2_1 - two_x2_x3 + x2 + x3_x4 - one) * (
+        x1 * (x2 - two_x4 - one) - x2 + (x3 + two) * x4 + one
     ) ** 2
-    return e13, e2, denom
+    one_x1 = one - x1
+    return (
+        denom,
+        x3_x4 * e13,
+        one_x1 * x4 * e2,
+        -(x1 - one) * x4 * e13,
+        -one_x1 * x2_1 * e2,
+    )
 
 
 def _field_scalar(x1, x2, x3, x4, b, c):
@@ -124,34 +147,22 @@ def _field_scalar(x1, x2, x3, x4, b, c):
     range (float ** 2 raises OverflowError where numpy would return inf).
     """
     try:
-        e13, e2, denom = _field_components(x1, x2, x3, x4, b, c)
+        denom, n1, n2, n3, n4 = _field_components(x1, x2, x3, x4, b, c)
     except OverflowError:
         raise FieldSingularError("field denominator overflows") from None
     if denom == 0.0:
         raise FieldSingularError("field denominator vanishes")
-    return (
-        denom,
-        x3 * x4 * e13 / denom,
-        (1 - x1) * x4 * e2 / denom,
-        -(x1 - 1) * x4 * e13 / denom,
-        -(1 - x1) * (x2 - 1) * e2 / denom,
-    )
+    return denom, n1 / denom, n2 / denom, n3 / denom, n4 / denom
 
 
-def _field_raw(x, b, c):
+def _field_raw(x, b, c, consts=_CONSTS):
     """(denom, field) on arrays, without a denominator check."""
     x1, x2, x3, x4 = (x[..., i] for i in range(4))
-    e13, e2, denom = _field_components(x1, x2, x3, x4, b, c)
-    out = np.stack(
-        [
-            x3 * x4 * e13,
-            (1 - x1) * x4 * e2,
-            -(x1 - 1) * x4 * e13,
-            -(1 - x1) * (x2 - 1) * e2,
-        ],
-        axis=-1,
-    )
-    return denom, out / denom[..., np.newaxis]
+    denom, *numerators = _field_components(x1, x2, x3, x4, b, c, consts)
+    field = np.empty(x.shape, denom.dtype)
+    for i, numerator in enumerate(numerators):
+        np.divide(numerator, denom, out=field[..., i])
+    return denom, field
 
 
 def field_closed_form(x, params: PayoffParams) -> np.ndarray:
@@ -243,6 +254,12 @@ class InvariantPair:
 
 def _levels(x):
     # The two conserved quantities over the last axis of memory-1 states.
+    # One state is read as Python floats, without 0-d array views, to the
+    # same bits: x[..., 2] ** 2 on a 0-d array squares (v * v), while
+    # x[..., 0] - 1.0 is already a numpy scalar, whose ** 2 calls pow.
+    if x.ndim == 1:
+        x1, x2, x3, x4 = x.tolist()
+        return (x1 - 1.0) ** 2 + x3 * x3, (x2 - 1.0) ** 2 + x4 * x4
     return (
         (x[..., 0] - 1.0) ** 2 + x[..., 2] ** 2,
         (x[..., 1] - 1.0) ** 2 + x[..., 3] ** 2,
@@ -292,13 +309,18 @@ def _interior(x) -> bool:
     return all(_BOUNDARY_LO <= v <= _BOUNDARY_HI for v in x)
 
 
-def _rk4_step(rates, x, dt):
-    """One classical RK4 step on numpy arrays (broadcasts over batches)."""
+def _rk4_step(rates, x, dt, typed=float):
+    """One classical RK4 step on numpy arrays (broadcasts over batches).
+
+    typed gives the step's constants their type: np.array makes them 0-d
+    arrays for a batch, with the same bits (see _field_components).
+    """
+    half, step, sixth, two = typed(0.5 * dt), typed(dt), typed(dt / 6.0), typed(2.0)
     k1 = rates(x)
-    k2 = rates(x + 0.5 * dt * k1)
-    k3 = rates(x + 0.5 * dt * k2)
-    k4 = rates(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rates(x + half * k1)
+    k3 = rates(x + half * k2)
+    k4 = rates(x + step * k3)
+    return x + sixth * (k1 + two * k2 + two * k3 + k4)
 
 
 def _cube_step(params):
@@ -530,6 +552,11 @@ def conservation_drift(
     depend on where the switch falls. A row finishing on the scalar kernel
     also freezes, as integrate halts, when its start-of-step field
     denominator is below 1e-14 in magnitude.
+
+    The batch carries its live rows as one dense block: row numbers,
+    states, initial levels and running maxima. A step on which some row
+    exits writes that row's maxima back and compacts the block; no other
+    step gathers or scatters.
     """
     x = np.array(x0_batch, dtype=float)
     if x.ndim != 2 or x.shape[1] != 4:
@@ -537,36 +564,43 @@ def conservation_drift(
     if not _interior(x.ravel()):
         raise ValueError("initial states must be interior")
     n_steps = _step_count(t_final, dt)
-    b, c = params.b, params.c
+    b, c = np.array(params.b), np.array(params.c)
+    consts = tuple(np.array(float(v)) for v in _CONSTS)
+    lo, hi = np.array(_BOUNDARY_LO), np.array(_BOUNDARY_HI)
 
     def rates(y):
-        return _field_raw(y, b, c)[1]
+        return _field_raw(y, b, c, consts)[1]
 
-    f1_0, f2_0 = _levels(x)
     drift1 = np.zeros(x.shape[0])
     drift2 = np.zeros(x.shape[0])
-    active = np.ones(x.shape[0], dtype=bool)
+    rows = np.arange(x.shape[0])
+    start1, start2 = _levels(x)
+    max1, max2 = np.zeros(x.shape[0]), np.zeros(x.shape[0])
     done = 0
-    while done < n_steps and np.count_nonzero(active) > _DRIFT_SCALAR_ROWS:
-        stepped = _rk4_step(rates, x[active], dt)
-        inside = np.all((stepped >= _BOUNDARY_LO) & (stepped <= _BOUNDARY_HI), axis=1)
-        idx = np.flatnonzero(active)
-        x[idx[inside]] = stepped[inside]
-        active[idx[~inside]] = False
-        live = idx[inside]
-        f1, f2 = _levels(x[live])
-        drift1[live] = np.maximum(drift1[live], np.abs(f1 - f1_0[live]))
-        drift2[live] = np.maximum(drift2[live], np.abs(f2 - f2_0[live]))
+    while done < n_steps and rows.size > _DRIFT_SCALAR_ROWS:
+        stepped = _rk4_step(rates, x, dt, np.array)
+        inside = np.all((stepped >= lo) & (stepped <= hi), axis=1)
+        if not inside.all():
+            gone = ~inside
+            drift1[rows[gone]], drift2[rows[gone]] = max1[gone], max2[gone]
+            rows, stepped, start1, start2, max1, max2 = (
+                a[inside] for a in (rows, stepped, start1, start2, max1, max2)
+            )
+        x = stepped
+        f1, f2 = _levels(x)
+        max1 = np.maximum(max1, np.abs(f1 - start1))
+        max2 = np.maximum(max2, np.abs(f2 - start2))
         done += 1
+    drift1[rows], drift2[rows] = max1, max2
     step = _cube_step(params)
-    for i in np.flatnonzero(active):
-        y, left, status = tuple(x[i].tolist()), n_steps - done, "completed"
+    for i, state, f1_0, f2_0 in zip(rows, x.tolist(), start1, start2):
+        y, left, status = tuple(state), n_steps - done, "completed"
         while left and status == "completed":
             count = min(left, _DRIFT_CHUNK)
             _, s, status = _march(step, y, count, dt, FieldSingularError, _interior)
             f1, f2 = _levels(s)
-            drift1[i] = max(drift1[i], np.max(np.abs(f1 - f1_0[i])))
-            drift2[i] = max(drift2[i], np.max(np.abs(f2 - f2_0[i])))
+            drift1[i] = max(drift1[i], np.max(np.abs(f1 - f1_0)))
+            drift2[i] = max(drift2[i], np.max(np.abs(f2 - f2_0)))
             y, left = tuple(s[-1].tolist()), left - count
     return drift1, drift2
 

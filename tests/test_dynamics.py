@@ -118,6 +118,105 @@ def test_field_commutes_with_win_loss_exchange():
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+# ---- the kernel's constants and shared subexpressions ----
+
+
+def _kernel_points(seed, count):
+    """Seeded points in [-3, 3]^4, every fourth and every fourth-plus-one
+    moved onto a zero of the first or the squared denominator factor
+    (solved for x1, kept where the root lies in range), plus the corner
+    (1, 1, 0, 0), where the denominator is exactly zero."""
+    x = np.random.default_rng(seed).uniform(-3.0, 3.0, (count, 4))
+    x1, x2, x3, x4 = x.T.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = (
+            (2 * x2 * x3 - x2 - x3 * x4 + 1) / (x2 - 1),
+            (x2 - (x3 + 2) * x4 - 1) / (x2 - 2 * x4 - 1),
+        )
+    for offset, root in enumerate(roots):
+        pick = np.zeros(count, dtype=bool)
+        pick[offset::4] = True
+        pick &= np.abs(root) <= 3.0
+        x[pick, 0] = root[pick]
+    return np.vstack([x, [1.0, 1.0, 0.0, 0.0]])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_zero_d_constants_give_the_bits_of_python_numbers():
+    x = _kernel_points(31, 100_000)
+    b, c = np.array(PARAMS.b), np.array(PARAMS.c)
+    consts = (np.array(1.0), np.array(2.0), np.array(-2.0))
+    # Real points, then complex ones as jacobian builds them.
+    inputs = [x]
+    for j in range(4):
+        xc = x.astype(complex)
+        xc[:, j] += 1j * 1e-20
+        inputs.append(xc)
+    with np.errstate(all="ignore"):
+        for y in inputs:
+            plain = _field_raw(y, PARAMS.b, PARAMS.c)
+            typed = _field_raw(y, b, c, consts)
+            assert _same_bits(plain[0], typed[0]) and _same_bits(plain[1], typed[1])
+    assert np.count_nonzero(np.abs(plain[0].real) < 1e-12) >= 1000
+
+
+def _field_scalar_as_written(x1, x2, x3, x4, b, c):
+    """The memory-1 field on floats with every subexpression written out
+    where it is used; None where the denominator is exactly zero."""
+    e13 = (
+        b * (x2 - x4) * (x1 * (-x4) + x1 + x2 * (x3 - 1) - x3 + x4)
+        + b * (x2 - x1)
+        + c
+        * (
+            x4 * (-2 * x1 * x2 + 2 * x2 * x3 + x2 + 1)
+            + (x2 - 1) * (x1 * x2 - x2 * x3 - 1)
+            + x4 * x4 * (x1 - x3 - 1)
+        )
+    )
+    e2 = (
+        b * (x3 * (x1 * x2 - x2 * x3 - 1) + x1 * x4 * (x3 - x1) + x4)
+        + c
+        * (
+            x1 * x1 * (x2 - x4 - 1)
+            + x1 * x3 * (-2 * x2 + 2 * x4 + 1)
+            + x3 * (x3 + 1) * (x2 - x4)
+            - x2
+            + x4
+            + 1
+        )
+    )
+    denom = (x1 * (x2 - 1) - 2 * x2 * x3 + x2 + x3 * x4 - 1) * (
+        x1 * (x2 - 2 * x4 - 1) - x2 + (x3 + 2) * x4 + 1
+    ) ** 2
+    if denom == 0.0:
+        return None
+    return (
+        denom,
+        x3 * x4 * e13 / denom,
+        (1 - x1) * x4 * e2 / denom,
+        -(x1 - 1) * x4 * e13 / denom,
+        -(1 - x1) * (x2 - 1) * e2 / denom,
+    )
+
+
+def test_scalar_kernel_matches_the_written_out_field_bit_for_bit():
+    zeros = 0
+    for point in _kernel_points(31, 100_000).tolist():
+        expected = _field_scalar_as_written(*point, PARAMS.b, PARAMS.c)
+        if expected is None:
+            zeros += 1
+            with pytest.raises(FieldSingularError):
+                _field_scalar(*point, PARAMS.b, PARAMS.c)
+            continue
+        got = _field_scalar(*point, PARAMS.b, PARAMS.c)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+    assert zeros >= 1
+
+
 # ---- invariants ----
 
 
@@ -187,18 +286,46 @@ def _batch_drift(x0_batch, t_final, dt=1e-3):
     return drift1, drift2, frozen_among
 
 
+def _drift_starts(seed, rows, t_final, low, high, route):
+    """Seeded starts in [low, high)^4, reshaped for the compaction routes.
+
+    "same-step" repeats each start once, so twins leave on the same step.
+    "step-1" moves every third start within 1e-4 of a face. "switch" draws
+    a pool, keeps rows - 10 starts whose batch orbit leaves before t_final
+    and 10 that stay, so the live count falls through the switch.
+    """
+    rng = np.random.default_rng(seed)
+    if route == "switch":
+        pool = rng.uniform(low, high, (2 * rows, 4))
+        frozen = _batch_drift(pool, t_final)[2] > 0
+        starts = np.vstack([pool[frozen][: rows - 10], pool[~frozen][:10]])
+        assert starts.shape == (rows, 4)
+        return starts
+    starts = rng.uniform(low, high, (rows, 4))
+    if route == "same-step":
+        starts[rows // 2 :] = starts[: rows // 2]
+    elif route == "step-1":
+        for i in range(0, rows, 3):
+            gap = rng.uniform(1e-6, 1e-4)
+            starts[i, rng.integers(4)] = gap if rng.random() < 0.5 else 1.0 - gap
+    return starts
+
+
 @pytest.mark.parametrize(
     "seed, rows, t_final, low, high, route",
     [
         (7, 64, 0.5, 0.1, 0.9, "batch"),
         (9, 10, 20.0, 0.1, 0.9, "scalar"),
         (10, 24, 2.0, 0.05, 0.95, "both"),
+        (21, 64, 1.0, 0.05, 0.95, "same-step"),
+        (22, 48, 0.5, 0.1, 0.9, "step-1"),
+        (23, 200, 3.0, 0.05, 0.95, "switch"),
     ],
 )
 def test_drift_matches_the_batch_loop_bit_for_bit(
     seed, rows, t_final, low, high, route, monkeypatch
 ):
-    starts = np.random.default_rng(seed).uniform(low, high, (rows, 4))
+    starts = _drift_starts(seed, rows, t_final, low, high, route)
     ref1, ref2, frozen_among = _batch_drift(starts, t_final)
     d1, d2 = conservation_drift(starts, PARAMS, t_final)
     assert np.array_equal(d1, ref1) and np.array_equal(d2, ref2)
@@ -213,6 +340,13 @@ def test_drift_matches_the_batch_loop_bit_for_bit(
         assert rows - np.count_nonzero(frozen_among) > _DRIFT_SCALAR_ROWS
     elif route == "scalar":
         assert rows <= _DRIFT_SCALAR_ROWS and in_scalar.any()
+    elif route == "same-step":
+        # Some batch step drops at least two rows at once.
+        assert np.bincount(frozen_among[in_batch]).max() >= 2
+    elif route == "step-1":
+        first = _rk4_step(lambda y: _field_raw(y, PARAMS.b, PARAMS.c)[1], starts, 1e-3)
+        gone = ~np.all((first >= _BOUNDARY_LO) & (first <= _BOUNDARY_HI), axis=1)
+        assert np.count_nonzero(gone) >= 2 and np.all(frozen_among[gone] == rows)
     else:
         assert in_batch.any() and in_scalar.any()
         assert np.count_nonzero(frozen_among == 0) > 0
