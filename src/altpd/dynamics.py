@@ -50,9 +50,9 @@ _COMPLEX_STEP = 1e-20
 # The field kernel's constants 1, 2 and -2 as Python numbers.
 _CONSTS = (1, 2, -2)
 # conservation_drift steps its rows as one numpy batch only while more than
-# this many are live. A batch RK4 step costs about 195 us at 17 to 64 rows
+# this many are live. A batch RK4 step costs about 190 us at 17 to 64 rows
 # (each stage is ~95 ufunc calls on short arrays, most with a 0-d operand)
-# and a scalar row step about 8.2 us, so the two cross near 24 rows (best
+# and a scalar row step about 7.6 us, so the two cross near 25 rows (best
 # of five, 2-vCPU x86 host). The switch point changes the cost, never the
 # result.
 _DRIFT_SCALAR_ROWS = 16
