@@ -47,8 +47,10 @@ _BOUNDARY_HI = 1.0 - 1e-9
 _ZERO_EIG_TOL = 1e-8
 _FIELD_ZERO_TOL = 1e-8
 _COMPLEX_STEP = 1e-20
-# The field kernel's constants 1, 2 and -2 as Python numbers.
+# The field kernel's constants 1, 2 and -2: Python numbers for one point
+# given as floats, 0-d arrays for numpy inputs (see _field_components).
 _CONSTS = (1, 2, -2)
+_ARRAY_CONSTS = tuple(np.array(float(v)) for v in _CONSTS)
 # conservation_drift steps its rows as one numpy batch only while more than
 # this many are live. A batch RK4 step costs about 190 us at 17 to 64 rows
 # (each stage is ~95 ufunc calls on short arrays, most with a 0-d operand)
@@ -82,17 +84,18 @@ _DP_MAX_FACTOR = 10
 _DP_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
 
 
-def _field_components(x1, x2, x3, x4, b, c, consts=_CONSTS):
+def _field_components(x1, x2, x3, x4, b, c, consts):
     """Common denominator and the four numerators of the memory-1 field.
 
     Pure arithmetic, so the inputs may be floats, arrays, or complex
     (complex inputs carry derivative information for the complex step).
     consts holds the constants (1, 2, -2) in the caller's type, and b and c
-    take that type too: Python numbers for floats and complex, 0-d float
-    arrays for a batch. Either gives the same bits; on 64-row arrays numpy
-    combines an array with a 0-d array in about half the time it takes to
-    convert a Python number. Each repeated subexpression is computed once,
-    as the same expression tree at every use.
+    take that type too: Python numbers for a point given as floats (the
+    scalar path), 0-d float arrays for numpy inputs (_field_raw). Either
+    gives the same bits; on 64-row arrays numpy combines an array with a
+    0-d array in about half the time it takes to convert a Python number.
+    Each repeated subexpression is computed once, as the same expression
+    tree at every use.
     """
     one, two, minus_two = consts
     x2_x4 = x2 - x4
@@ -147,7 +150,7 @@ def _field_scalar(x1, x2, x3, x4, b, c):
     range (float ** 2 raises OverflowError where numpy would return inf).
     """
     try:
-        denom, n1, n2, n3, n4 = _field_components(x1, x2, x3, x4, b, c)
+        denom, n1, n2, n3, n4 = _field_components(x1, x2, x3, x4, b, c, _CONSTS)
     except OverflowError:
         raise FieldSingularError("field denominator overflows") from None
     if denom == 0.0:
@@ -155,10 +158,14 @@ def _field_scalar(x1, x2, x3, x4, b, c):
     return denom, n1 / denom, n2 / denom, n3 / denom, n4 / denom
 
 
-def _field_raw(x, b, c, consts=_CONSTS):
-    """(denom, field) on arrays, without a denominator check."""
+def _field_raw(x, b, c):
+    """(denom, field) on arrays, without a denominator check.
+
+    The kernel's constants, b and c enter as 0-d float arrays.
+    """
     x1, x2, x3, x4 = (x[..., i] for i in range(4))
-    denom, *numerators = _field_components(x1, x2, x3, x4, b, c, consts)
+    b, c = np.asarray(b, dtype=float), np.asarray(c, dtype=float)
+    denom, *numerators = _field_components(x1, x2, x3, x4, b, c, _ARRAY_CONSTS)
     field = np.empty(x.shape, denom.dtype)
     for i, numerator in enumerate(numerators):
         np.divide(numerator, denom, out=field[..., i])
@@ -254,12 +261,6 @@ class InvariantPair:
 
 def _levels(x):
     # The two conserved quantities over the last axis of memory-1 states.
-    # One state is read as Python floats, without 0-d array views, to the
-    # same bits: x[..., 2] ** 2 on a 0-d array squares (v * v), while
-    # x[..., 0] - 1.0 is already a numpy scalar, whose ** 2 calls pow.
-    if x.ndim == 1:
-        x1, x2, x3, x4 = x.tolist()
-        return (x1 - 1.0) ** 2 + x3 * x3, (x2 - 1.0) ** 2 + x4 * x4
     return (
         (x[..., 0] - 1.0) ** 2 + x[..., 2] ** 2,
         (x[..., 1] - 1.0) ** 2 + x[..., 3] ** 2,
@@ -309,13 +310,13 @@ def _interior(x) -> bool:
     return all(_BOUNDARY_LO <= v <= _BOUNDARY_HI for v in x)
 
 
-def _rk4_step(rates, x, dt, typed=float):
+def _rk4_step(rates, x, dt):
     """One classical RK4 step on numpy arrays (broadcasts over batches).
 
-    typed gives the step's constants their type: np.array makes them 0-d
-    arrays for a batch, with the same bits (see _field_components).
+    The step's constants are 0-d arrays, which give the bits of Python
+    floats at a lower cost per call (see _field_components).
     """
-    half, step, sixth, two = typed(0.5 * dt), typed(dt), typed(dt / 6.0), typed(2.0)
+    half, step, sixth, two = (np.array(v) for v in (0.5 * dt, dt, dt / 6.0, 2.0))
     k1 = rates(x)
     k2 = rates(x + half * k1)
     k3 = rates(x + half * k2)
@@ -564,12 +565,10 @@ def conservation_drift(
     if not _interior(x.ravel()):
         raise ValueError("initial states must be interior")
     n_steps = _step_count(t_final, dt)
-    b, c = np.array(params.b), np.array(params.c)
-    consts = tuple(np.array(float(v)) for v in _CONSTS)
     lo, hi = np.array(_BOUNDARY_LO), np.array(_BOUNDARY_HI)
 
     def rates(y):
-        return _field_raw(y, b, c, consts)[1]
+        return _field_raw(y, params.b, params.c)[1]
 
     drift1 = np.zeros(x.shape[0])
     drift2 = np.zeros(x.shape[0])
@@ -578,7 +577,7 @@ def conservation_drift(
     max1, max2 = np.zeros(x.shape[0]), np.zeros(x.shape[0])
     done = 0
     while done < n_steps and rows.size > _DRIFT_SCALAR_ROWS:
-        stepped = _rk4_step(rates, x, dt, np.array)
+        stepped = _rk4_step(rates, x, dt)
         inside = np.all((stepped >= lo) & (stepped <= hi), axis=1)
         if not inside.all():
             gone = ~inside

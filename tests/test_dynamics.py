@@ -12,7 +12,6 @@ from altpd.dynamics import (
     _field_raw,
     _field_scalar,
     _interior,
-    _rk4_step,
     classify_equilibrium,
     conservation_drift,
     equilibrium_families,
@@ -146,27 +145,9 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_zero_d_constants_give_the_bits_of_python_numbers():
-    x = _kernel_points(31, 100_000)
-    b, c = np.array(PARAMS.b), np.array(PARAMS.c)
-    consts = (np.array(1.0), np.array(2.0), np.array(-2.0))
-    # Real points, then complex ones as jacobian builds them.
-    inputs = [x]
-    for j in range(4):
-        xc = x.astype(complex)
-        xc[:, j] += 1j * 1e-20
-        inputs.append(xc)
-    with np.errstate(all="ignore"):
-        for y in inputs:
-            plain = _field_raw(y, PARAMS.b, PARAMS.c)
-            typed = _field_raw(y, b, c, consts)
-            assert _same_bits(plain[0], typed[0]) and _same_bits(plain[1], typed[1])
-    assert np.count_nonzero(np.abs(plain[0].real) < 1e-12) >= 1000
-
-
-def _field_scalar_as_written(x1, x2, x3, x4, b, c):
-    """The memory-1 field on floats with every subexpression written out
-    where it is used; None where the denominator is exactly zero."""
+def _components_as_written(x1, x2, x3, x4, b, c):
+    """Denominator and numerators of the memory-1 field with every
+    subexpression written out where it is used, on Python numbers."""
     e13 = (
         b * (x2 - x4) * (x1 * (-x4) + x1 + x2 * (x3 - 1) - x3 + x4)
         + b * (x2 - x1)
@@ -192,15 +173,65 @@ def _field_scalar_as_written(x1, x2, x3, x4, b, c):
     denom = (x1 * (x2 - 1) - 2 * x2 * x3 + x2 + x3 * x4 - 1) * (
         x1 * (x2 - 2 * x4 - 1) - x2 + (x3 + 2) * x4 + 1
     ) ** 2
-    if denom == 0.0:
-        return None
     return (
         denom,
-        x3 * x4 * e13 / denom,
-        (1 - x1) * x4 * e2 / denom,
-        -(x1 - 1) * x4 * e13 / denom,
-        -(1 - x1) * (x2 - 1) * e2 / denom,
+        x3 * x4 * e13,
+        (1 - x1) * x4 * e2,
+        -(x1 - 1) * x4 * e13,
+        -(1 - x1) * (x2 - 1) * e2,
     )
+
+
+def _field_raw_as_written(x, b, c):
+    """(denom, field) on arrays from the written-out components."""
+    denom, *numerators = _components_as_written(*(x[..., i] for i in range(4)), b, c)
+    return denom, np.stack(numerators, axis=-1) / denom[..., np.newaxis]
+
+
+def _rates_as_written(y):
+    return _field_raw_as_written(y, PARAMS.b, PARAMS.c)[1]
+
+
+def _field_scalar_as_written(x1, x2, x3, x4, b, c):
+    """The written-out field on floats; None where the denominator is
+    exactly zero."""
+    denom, *numerators = _components_as_written(x1, x2, x3, x4, b, c)
+    if denom == 0.0:
+        return None
+    return (denom, *(n / denom for n in numerators))
+
+
+def _complex_steps(x):
+    """x with a 1e-20 imaginary step on each coordinate in turn, as
+    jacobian builds its inputs."""
+    for j in range(4):
+        xc = x.astype(complex)
+        xc[..., j] += 1j * 1e-20
+        yield xc
+
+
+def test_array_kernel_matches_the_written_out_field_bit_for_bit():
+    # The kernel runs on 0-d constants, b and c; the reference on Python
+    # numbers. A real batch as the drift and field_grid pass it, then
+    # single states, real and complex-step, as field_closed_form and
+    # jacobian pass them; near-zero denominators and the exact zero at the
+    # corner included. Complex inputs are checked one state at a time only:
+    # on long complex batches numpy's fused complex multiply makes the bits
+    # depend on operand order, which temporary elision may swap.
+    x = _kernel_points(31, 100_000)
+
+    def check(y):
+        got = _field_raw(y, PARAMS.b, PARAMS.c)
+        want = _field_raw_as_written(y, PARAMS.b, PARAMS.c)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+    with np.errstate(all="ignore"):
+        check(x)
+        rows = x[-5001:]
+        assert np.count_nonzero(np.abs(_field_raw(rows, PARAMS.b, PARAMS.c)[0]) < 1e-12) >= 50
+        for row in rows:
+            for y in [row, *_complex_steps(row)]:
+                check(y)
 
 
 def test_scalar_kernel_matches_the_written_out_field_bit_for_bit():
@@ -252,6 +283,15 @@ def test_conservation_along_trajectories():
     assert d1.max() < 1e-9 and d2.max() < 1e-9
 
 
+def _rk4_step_as_written(rates, x, dt):
+    """Classical RK4 step with its constants as Python floats."""
+    k1 = rates(x)
+    k2 = rates(x + 0.5 * dt * k1)
+    k3 = rates(x + 0.5 * dt * k2)
+    k4 = rates(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _batch_drift(x0_batch, t_final, dt=1e-3):
     """Reference: every row stepped as one numpy batch until it exits.
 
@@ -259,10 +299,6 @@ def _batch_drift(x0_batch, t_final, dt=1e-3):
     it (0 for rows that never froze).
     """
     x = np.array(x0_batch, dtype=float)
-
-    def rates(y):
-        return _field_raw(y, PARAMS.b, PARAMS.c)[1]
-
     f1_0 = (x[:, 0] - 1.0) ** 2 + x[:, 2] ** 2
     f2_0 = (x[:, 1] - 1.0) ** 2 + x[:, 3] ** 2
     drift1 = np.zeros(x.shape[0])
@@ -272,7 +308,7 @@ def _batch_drift(x0_batch, t_final, dt=1e-3):
     for _ in range(int(round(t_final / dt))):
         if not active.any():
             break
-        stepped = _rk4_step(rates, x[active], dt)
+        stepped = _rk4_step_as_written(_rates_as_written, x[active], dt)
         inside = np.all((stepped >= 1e-9) & (stepped <= 1.0 - 1e-9), axis=1)
         idx = np.flatnonzero(active)
         frozen_among[idx[~inside]] = idx.size
@@ -344,7 +380,7 @@ def test_drift_matches_the_batch_loop_bit_for_bit(
         # Some batch step drops at least two rows at once.
         assert np.bincount(frozen_among[in_batch]).max() >= 2
     elif route == "step-1":
-        first = _rk4_step(lambda y: _field_raw(y, PARAMS.b, PARAMS.c)[1], starts, 1e-3)
+        first = _rk4_step_as_written(_rates_as_written, starts, 1e-3)
         gone = ~np.all((first >= _BOUNDARY_LO) & (first <= _BOUNDARY_HI), axis=1)
         assert np.count_nonzero(gone) >= 2 and np.all(frozen_among[gone] == rows)
     else:
