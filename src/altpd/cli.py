@@ -17,27 +17,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import build_matrix_direct, is_irreducible, stationary
-from .dynamics import _step_count, classify_equilibrium, integrate, invariants
 from .errors import DegeneracyError
-from .payoff import build_payoff_vector, payoff_by_determinant
 from .strategy import (
     PayoffParams,
     Strategy,
+    _step_count,
     all_c,
     all_d,
     random_strategy,
     tit_for_tat,
 )
-from .torus import (
-    TorusLevel,
-    admissible_rectangle,
-    denominator_zero_segments,
-    field_grid,
-    to_cube,
-    torus_equilibria,
-)
-from .verify import run_suite
+
+# Only what parsing and RunConfig.validate need is imported above; each
+# _run_* imports the modules its subcommand runs, so a process loads no
+# other code.
 
 __all__ = ["RunConfig", "main"]
 
@@ -226,6 +219,9 @@ def _write(path: str, text: str) -> None:
 
 
 def _run_matrix(config: RunConfig) -> int:
+    from .chain import build_matrix_direct, is_irreducible, stationary
+    from .payoff import build_payoff_vector, payoff_by_determinant
+
     params = config.params
     p = _parse_strategy(config.p, config.n, "p")
     q = _parse_strategy(config.q, config.n, "q")
@@ -268,6 +264,8 @@ def _run_matrix(config: RunConfig) -> int:
 
 
 def _run_integrate(config: RunConfig) -> int:
+    from .dynamics import integrate, invariants
+
     params = config.params
     x0 = _parse_strategy(config.p, config.n, "p").probs
     trajectory = integrate(x0, params, config.t, dt=config.dt, method=config.method)
@@ -310,6 +308,16 @@ def _run_integrate(config: RunConfig) -> int:
 
 
 def _run_torus(config: RunConfig) -> int:
+    from .dynamics import classify_equilibrium
+    from .torus import (
+        TorusLevel,
+        admissible_rectangle,
+        denominator_zero_segments,
+        field_grid,
+        to_cube,
+        torus_equilibria,
+    )
+
     if config.b != 1.0:
         raise ValueError("torus analysis assumes unit benefit (--b 1)")
     params = config.params
@@ -365,6 +373,8 @@ def _run_torus(config: RunConfig) -> int:
 
 
 def _run_verify(config: RunConfig, corrupt_payoff: bool) -> int:
+    from .verify import run_suite
+
     results = run_suite(
         memory=config.n,
         seed=config.seed,

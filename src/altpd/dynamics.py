@@ -12,7 +12,6 @@ flow lives on two-dimensional tori inside the cube.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import FieldSingularError, NotAnEquilibriumError
 from .payoff import payoff_by_determinant
-from .strategy import PayoffParams, Strategy
+from .strategy import PayoffParams, Strategy, _step_count
 
 __all__ = [
     "InvariantPair",
@@ -47,16 +46,18 @@ _BOUNDARY_HI = 1.0 - 1e-9
 _ZERO_EIG_TOL = 1e-8
 _FIELD_ZERO_TOL = 1e-8
 _COMPLEX_STEP = 1e-20
-# The field kernel's constants 1, 2 and -2: Python numbers for one point
+# The field kernel's constants 1, 2 and -2: Python floats for one point
 # given as floats, 0-d arrays for numpy inputs (see _field_components).
-_CONSTS = (1, 2, -2)
-_ARRAY_CONSTS = tuple(np.array(float(v)) for v in _CONSTS)
+# Floats, not ints: CPython 3.11 specialises a float operation only when
+# both operands are floats, and these values convert exactly.
+_CONSTS = (1.0, 2.0, -2.0)
+_ARRAY_CONSTS = tuple(np.array(v) for v in _CONSTS)
 # conservation_drift steps its rows as one numpy batch only while more than
-# this many are live. A batch RK4 step costs about 190 us at 17 to 64 rows
+# this many are live. A batch RK4 step costs about 195 us at 17 to 64 rows
 # (each stage is ~95 ufunc calls on short arrays, most with a 0-d operand)
-# and a scalar row step about 7.6 us, so the two cross near 25 rows (best
-# of five, 2-vCPU x86 host). The switch point changes the cost, never the
-# result.
+# and a scalar row step about 5.5 us, so the two cross near 35 rows (best
+# of 40 repeats, 2-vCPU x86 host). The switch point changes the cost, never
+# the result.
 _DRIFT_SCALAR_ROWS = 16
 # A straggler is marched this many steps at a time, so the states kept for
 # its drift stay near 1 MB however long the run.
@@ -90,7 +91,7 @@ def _field_components(x1, x2, x3, x4, b, c, consts):
     Pure arithmetic, so the inputs may be floats, arrays, or complex
     (complex inputs carry derivative information for the complex step).
     consts holds the constants (1, 2, -2) in the caller's type, and b and c
-    take that type too: Python numbers for a point given as floats (the
+    take that type too: Python floats for a point given as floats (the
     scalar path), 0-d float arrays for numpy inputs (_field_raw). Either
     gives the same bits; on 64-row arrays numpy combines an array with a
     0-d array in about half the time it takes to convert a Python number.
@@ -359,24 +360,6 @@ def _cube_step(params):
         )
 
     return step
-
-
-def _step_count(t_final: float, dt: float) -> int:
-    """Number of fixed steps of size dt that reach t_final (at least one).
-
-    Raises ValueError unless t_final, dt and t_final / dt are all finite
-    and positive.
-    """
-
-    def positive(v):
-        return math.isfinite(v) and v > 0.0
-
-    if not (positive(t_final) and positive(dt) and positive(t_final / dt)):
-        raise ValueError(
-            "t and dt must be finite and positive, and so must t / dt; "
-            f"got t_final={t_final!r}, dt={dt!r}"
-        )
-    return max(1, int(round(t_final / dt)))
 
 
 def _march(step, y0, n_steps, dt, caught, inside):

@@ -241,6 +241,24 @@ class PayoffParams:
         return (self.r, self.s, self.t, self.p)
 
 
+def _step_count(t_final: float, dt: float) -> int:
+    """Number of fixed steps of size dt that reach t_final (at least one).
+
+    Raises ValueError unless t_final, dt and t_final / dt are all finite
+    and positive.
+    """
+
+    def positive(v):
+        return math.isfinite(v) and v > 0.0
+
+    if not (positive(t_final) and positive(dt) and positive(t_final / dt)):
+        raise ValueError(
+            "t and dt must be finite and positive, and so must t / dt; "
+            f"got t_final={t_final!r}, dt={dt!r}"
+        )
+    return max(1, int(round(t_final / dt)))
+
+
 @dataclass(frozen=True)
 class RawPayoffs:
     """Per-choice payoffs: cooperating yields a to self and b to the other;

@@ -21,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _DENOMINATOR_TOL, _field_scalar, _levels, _march, _step_count
+from .dynamics import _DENOMINATOR_TOL, _field_scalar, _levels, _march
 from .errors import (
     DegenerateTorusError,
     FieldSingularError,
     ToricDenominatorError,
 )
-from .strategy import PayoffParams
+from .strategy import PayoffParams, _step_count
 
 __all__ = [
     "TorusLevel",

@@ -583,6 +583,46 @@ print("scipy" in sys.modules)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    # Each process loads only the code it runs: `import altpd` loads no
+    # module, and each subcommand only the modules its own work needs.
+    _LOADED_PROBE = """
+import contextlib, io, sys
+import altpd
+if sys.argv[1:]:
+    import altpd.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert altpd.cli.main(sys.argv[1:]) == 0, sys.argv[1:]
+print(" ".join(m for m in sys.modules if m.startswith("altpd.")))
+"""
+
+    def _loaded_modules(self, argv):
+        result = subprocess.run(
+            [sys.executable, "-c", self._LOADED_PROBE, *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        return {name.removeprefix("altpd.") for name in result.stdout.split()}
+
+    def test_import_loads_no_module(self):
+        assert self._loaded_modules([]) == set()
+
+    @pytest.mark.parametrize(
+        "argv, unloaded",
+        [
+            (["matrix", "--p", "allc", "--q", "tft"],
+             {"dynamics", "torus", "oracle", "symmetry", "verify"}),
+            (["integrate", "--p", "0.71,0.5,0.41,0.2", "--t", "1"],
+             {"torus", "oracle", "symmetry", "verify"}),
+            (["torus", "--grid", "4"], {"oracle", "symmetry", "verify"}),
+        ],
+        ids=["matrix", "integrate", "torus"],
+    )
+    def test_subcommand_loads_only_its_modules(self, tmp_path, argv, unloaded):
+        loaded = self._loaded_modules([*argv, "--out", str(tmp_path / "out")])
+        assert "cli" in loaded
+        assert loaded & unloaded == set()
+
     def test_closed_pipe_exits_quietly(self):
         # The reader goes away before the first write, as with `| head`.
         proc = subprocess.Popen(

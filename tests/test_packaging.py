@@ -1,9 +1,12 @@
-"""Packaging: the package imports nothing it does not declare, and its
-public names each come from one module."""
+"""Packaging: the package imports nothing it does not declare, its
+public names each come from one module, and its namespace loads them on
+first use."""
 
 import ast
 import importlib
+import json
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -50,14 +53,26 @@ def test_every_import_is_stdlib_altpd_or_declared():
     assert undeclared == []
 
 
-def test_each_public_name_comes_from_one_module():
-    # __init__ star-imports every module except cli, so a name exported by
-    # two of them would be silently shadowed by the later import.
-    modules = [
+def _public_modules():
+    """Every module whose __all__ the package exports (all but cli)."""
+    return [
         importlib.import_module(f"altpd.{path.stem}")
         for path in SOURCES
         if path.stem not in ("__init__", "cli")
     ]
+
+
+def _run_fresh(code):
+    """Standard output of code run in a fresh interpreter."""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_each_public_name_comes_from_one_module():
+    # __init__ binds the public names of every module except cli, so a name
+    # exported by two of them would be silently shadowed by the later one.
+    modules = _public_modules()
     owners = Counter(name for module in modules for name in module.__all__)
     assert [name for name, count in owners.items() if count > 1] == []
     assert [name for name, count in Counter(altpd.__all__).items() if count > 1] == []
@@ -65,3 +80,35 @@ def test_each_public_name_comes_from_one_module():
     for module in modules:
         for name in module.__all__:
             assert getattr(altpd, name) is getattr(module, name), name
+
+
+def test_star_import_binds_exactly_the_public_names():
+    # A fresh interpreter, so the star import is the first use of the
+    # lazy namespace.
+    probe = """
+import json
+before = set(globals()) | {"before"}
+from altpd import *
+bound = sorted(set(globals()) - before)
+import altpd
+try:
+    altpd.no_such_name
+except AttributeError as exc:
+    missing = str(exc)
+else:
+    missing = None
+print(json.dumps({"bound": bound, "all": altpd.__all__, "missing": missing}))
+"""
+    seen = json.loads(_run_fresh(probe))
+    public = [name for module in _public_modules() for name in module.__all__]
+    assert len(public) == 73
+    assert seen["all"] == public == altpd.__all__
+    assert seen["bound"] == sorted(public)
+    assert seen["missing"] == "module 'altpd' has no attribute 'no_such_name'"
+
+
+def test_readme_quick_start_runs_as_written():
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S)
+    assert block, "README has no Library quick start code block"
+    _run_fresh(block.group(1))
