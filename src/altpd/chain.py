@@ -181,9 +181,9 @@ def perturb_strategies(p: Strategy, q: Strategy, eps: float):
     )
 
 
-def is_irreducible(matrix: TransitionMatrix, tol: float = 0.0) -> bool:
-    """Strong connectivity of the digraph of transitions above tol."""
-    adj = matrix.entries > tol
+def is_irreducible(matrix: TransitionMatrix) -> bool:
+    """Strong connectivity of the digraph of positive transitions."""
+    adj = matrix.entries > 0.0
     return _reaches_all(adj) and _reaches_all(adj.T)
 
 

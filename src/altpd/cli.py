@@ -172,10 +172,6 @@ def _parse_strategy(text: str, memory: int, flag: str) -> Strategy:
     return strategy
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _plain(value):
     """Copy of value that json can encode: numpy scalars and arrays become
     Python values and lists, and non-finite floats become None (null)."""
@@ -201,14 +197,9 @@ def _json_compact(value) -> str:
 def _csv_text(provenance: dict, header: list, rows) -> str:
     lines = ["# " + _json_compact(provenance), ",".join(header)]
     for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+        # str of a float or a numpy float64 is its shortest round-trip repr.
+        lines.append(",".join(str(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return _fmt(value)
-    return str(value)
 
 
 def _write(path: str, text: str) -> None:
@@ -385,8 +376,8 @@ def _run_verify(config: RunConfig, corrupt_payoff: bool) -> int:
         status = "PASS" if r.passed else "FAIL"
         detail = f" ({r.detail})" if r.detail else ""
         sys.stdout.write(
-            f"{status} {r.name}: measured {_fmt(r.measured)}"
-            f" tolerance {_fmt(r.tolerance)}{detail}\n"
+            f"{status} {r.name}: measured {r.measured}"
+            f" tolerance {r.tolerance}{detail}\n"
         )
     failing = [r.name for r in results if not r.passed]
     if failing:

@@ -46,6 +46,8 @@ _BOUNDARY_HI = 1.0 - 1e-9
 _ZERO_EIG_TOL = 1e-8
 _FIELD_ZERO_TOL = 1e-8
 _COMPLEX_STEP = 1e-20
+_STENCIL_STEP = 1e-6
+_JACOBIAN_STEP = 1e-5
 # The field kernel's constants 1, 2 and -2: Python floats for one point
 # given as floats, 0-d arrays for numpy inputs (see _field_components).
 # Floats, not ints: CPython 3.11 specialises a float operation only when
@@ -190,15 +192,16 @@ def field_closed_form(x, params: PayoffParams) -> np.ndarray:
     return field
 
 
-def field_numeric(x, params: PayoffParams, h: float = 1e-6) -> np.ndarray:
+def field_numeric(x, params: PayoffParams) -> np.ndarray:
     """Field for any memory: central differences of the determinant payoff.
 
     Differentiates the mutant leader's payoff in each leader coordinate
-    with the resident follower held fixed at x.
+    with the resident follower held fixed at x, with step h = 1e-6.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("field_numeric takes a single state vector")
+    h = _STENCIL_STEP
     if np.any(x <= h) or np.any(x >= 1.0 - h):
         raise ValueError("state must lie in (h, 1-h) for the stencil")
     follower = Strategy(tuple(x))
@@ -214,22 +217,18 @@ def field_numeric(x, params: PayoffParams, h: float = 1e-6) -> np.ndarray:
     return out
 
 
-def jacobian(
-    x, params: PayoffParams, method: str = "complex-step", step: float = 1e-5
-) -> np.ndarray:
+def jacobian(x, params: PayoffParams) -> np.ndarray:
     """Jacobian of the field at x.
 
-    "complex-step" (memory 1 only) differentiates the closed form through
-    complex arguments, which is exact to roundoff for a rational field and
-    is the only scheme accurate enough to certify eigenvalues at the 1e-8
-    scale. "central" uses finite differences of the closed form (memory 1)
-    or of field_numeric (general memory).
+    At memory 1 the closed form is differentiated through complex
+    arguments, which is exact to roundoff for a rational field and is the
+    only scheme accurate enough to certify eigenvalues at the 1e-8 scale.
+    At general memory it takes central differences (step 1e-5) of
+    field_numeric.
     """
     x = np.asarray(x, dtype=float)
     d = x.size
-    if method == "complex-step":
-        if d != 4:
-            raise ValueError("complex-step differentiation requires memory 1")
+    if d == 4:
         field_closed_form(x, params)  # raises where the denominator vanishes
         jac = np.empty((4, 4))
         for j in range(4):
@@ -237,19 +236,16 @@ def jacobian(
             xc[j] += 1j * _COMPLEX_STEP
             jac[:, j] = _field_raw(xc, params.b, params.c)[1].imag / _COMPLEX_STEP
         return jac
-    if method == "central":
-        base = field_closed_form if d == 4 else field_numeric
-        jac = np.empty((d, d))
-        for j in range(d):
-            hi = x.copy()
-            lo = x.copy()
-            hi[j] += step
-            lo[j] -= step
-            jac[:, j] = (
-                np.asarray(base(hi, params)) - np.asarray(base(lo, params))
-            ) / (2.0 * step)
-        return jac
-    raise ValueError("method must be 'complex-step' or 'central'")
+    jac = np.empty((d, d))
+    for j in range(d):
+        hi = x.copy()
+        lo = x.copy()
+        hi[j] += _JACOBIAN_STEP
+        lo[j] -= _JACOBIAN_STEP
+        jac[:, j] = (field_numeric(hi, params) - field_numeric(lo, params)) / (
+            2.0 * _JACOBIAN_STEP
+        )
+    return jac
 
 
 @dataclass(frozen=True)
@@ -532,10 +528,13 @@ def conservation_drift(
 
     The rows are stepped together as one numpy batch while more than 16 of
     them are live; each row still live after that finishes on the scalar
-    kernel of integrate, with the same arithmetic, so the result does not
-    depend on where the switch falls. A row finishing on the scalar kernel
-    also freezes, as integrate halts, when its start-of-step field
-    denominator is below 1e-14 in magnitude.
+    kernel of integrate. The kernels differ only in squaring the
+    denominator's second factor (v*v in the batch, C pow in the scalar
+    kernel), which can move a field value's last bit;
+    test_drift_matches_the_batch_loop_bit_for_bit pins the drift against
+    an all-batch loop. A row finishing on the scalar kernel also freezes,
+    as integrate halts, when its start-of-step field denominator is below
+    1e-14 in magnitude.
 
     The batch carries its live rows as one dense block: row numbers,
     states, initial levels and running maxima. A step on which some row

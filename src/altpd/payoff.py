@@ -109,9 +109,10 @@ def check_well_defined(
     Reconstructs, from the per-choice payoffs, the total winnings each player
     attributes to a 2N-symbol conditioning word: the odd positions are the
     player's own choices (each yields a or c to itself) and the even positions
-    are the co-player's (each grants b or d). The two reconstructions follow
-    their own seat's semantics and must agree entrywise; _follower_d_offset
-    exists for tests to break the symmetry deliberately.
+    are the co-player's (each grants b or d). As written, both loops add the
+    same terms in the same order, so the check returns False only through
+    _follower_d_offset, a hook for tests; a check with teeth needs the
+    paper's definition of the follower's word.
     """
     raw = raw_from_donation(params, a)
     n = 4**memory

@@ -28,6 +28,8 @@ __all__ = [
     "AdmissibilityReport",
 ]
 
+_STRUCTURE_TOL = 1e-12  # entry tolerance for the recovered pair and rebuilt matrix
+
 J_BASE = {
     1: np.eye(4),
     2: np.array(
@@ -119,7 +121,6 @@ def verify_admissibility(
     p: Strategy,
     q: Strategy,
     params: PayoffParams = None,
-    atol: float = 1e-12,
 ) -> AdmissibilityReport:
     """Check that J M(p,q) J^T is again an alternating-game matrix.
 
@@ -151,7 +152,7 @@ def verify_admissibility(
         if 1.0 - p_rec[i] > 1e-9:
             q_votes[((i << 1) | 1) & mask].append(x[i, cols[2]] / (1.0 - p_rec[i]))
     off_structure = float(np.abs(x[~successors]).max()) if n > 4 else 0.0
-    if off_structure > atol:
+    if off_structure > _STRUCTURE_TOL:
         return AdmissibilityReport(False)
     if any(not votes for votes in q_votes):
         return AdmissibilityReport(False)
@@ -159,16 +160,16 @@ def verify_admissibility(
     vote_spread = max(max(votes) - min(votes) for votes in q_votes)
     if vote_spread > 1e-9:
         return AdmissibilityReport(False)
-    if p_rec.min() < -atol or p_rec.max() > 1 + atol:
+    if p_rec.min() < -_STRUCTURE_TOL or p_rec.max() > 1 + _STRUCTURE_TOL:
         return AdmissibilityReport(False)
-    if q_rec.min() < -atol or q_rec.max() > 1 + atol:
+    if q_rec.min() < -_STRUCTURE_TOL or q_rec.max() > 1 + _STRUCTURE_TOL:
         return AdmissibilityReport(False)
 
     p_image = Strategy(p_rec.clip(0.0, 1.0))
     q_image = Strategy(q_rec.clip(0.0, 1.0))
     rebuilt = build_matrix_direct(p_image, q_image).entries
     structure_error = float(np.abs(x - rebuilt).max())
-    if structure_error > atol:
+    if structure_error > _STRUCTURE_TOL:
         return AdmissibilityReport(False, structure_error=structure_error)
 
     payoff_error = 0.0

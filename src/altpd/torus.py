@@ -51,6 +51,7 @@ _TWO_PI = 2.0 * math.pi
 _DEGENERATE_TOL = 1e-14
 _EQUILIBRIUM_FIELD_TOL = 1e-8
 _ANGLE_DEDUPE_TOL = 1e-7
+_CONTOUR_CELLS = 200
 
 
 def _wrap(angle: float) -> float:
@@ -90,12 +91,10 @@ class AdmissibleRectangle:
     phi_interval: tuple
     psi_interval: tuple
 
-    def contains(self, phi: float, psi: float, tol: float = 0.0) -> bool:
+    def contains(self, phi: float, psi: float) -> bool:
         lo1, hi1 = self.phi_interval
         lo2, hi2 = self.psi_interval
-        return bool(
-            lo1 - tol < phi < hi1 + tol and lo2 - tol < psi < hi2 + tol
-        )
+        return bool(lo1 < phi < hi1 and lo2 < psi < hi2)
 
 
 def to_cube(pt: TorusPoint) -> np.ndarray:
@@ -150,17 +149,6 @@ def admissible_rectangle(level: TorusLevel) -> AdmissibleRectangle:
     )
 
 
-def _trig(pt: TorusPoint):
-    return (
-        math.sin(pt.phi),
-        math.cos(pt.phi),
-        math.sin(pt.psi),
-        math.cos(pt.psi),
-        math.sqrt(pt.level.c1),
-        math.sqrt(pt.level.c2),
-    )
-
-
 def toric_denominator(phi, psi, level: TorusLevel):
     """Common denominator G of the reduced field, as a trig polynomial.
 
@@ -168,13 +156,9 @@ def toric_denominator(phi, psi, level: TorusLevel):
     exact because A carries the factor C1 C2 on the torus, so G stays
     finite on degenerate tori. Accepts scalars or arrays.
     """
-    return _toric_denominator_trig(
-        np.sin(phi), np.cos(phi), np.sin(psi), np.cos(psi),
-        math.sqrt(level.c1), math.sqrt(level.c2),
-    )
-
-
-def _toric_denominator_trig(s1, c1, s2, c2, u, v):
+    s1, c1 = np.sin(phi), np.cos(phi)
+    s2, c2 = np.sin(psi), np.cos(psi)
+    u, v = math.sqrt(level.c1), math.sqrt(level.c2)
     first = 2.0 * v * s2 + u * (v * s1 * s2 - 2.0 * c1 - 2.0 * v * c1 * s2 + v * c1 * c2)
     second = s1 * (s2 - 2.0 * c2) + c1 * c2
     return 4.0 * first * second**2
@@ -185,12 +169,12 @@ def _angle_rates(phi, psi, u, v, b, c):
 
     Maps the angles to the cube, evaluates the scalar memory-1 kernel
     there and pushes the field forward. Raises ToricDenominatorError where
-    the toric denominator or the cube denominator falls below 1e-14.
+    the cube denominator A falls below 1e-14 in magnitude. The toric
+    denominator is G = 4 A / (C1 C2) with C1, C2 <= 2, so |A| <= |G| and
+    this guard covers every point where |G| < 1e-14 as well.
     """
     s1, c1 = math.sin(phi), math.cos(phi)
     s2, c2 = math.sin(psi), math.cos(psi)
-    if abs(_toric_denominator_trig(s1, c1, s2, c2, u, v)) < _DENOMINATOR_TOL:
-        raise ToricDenominatorError("toric denominator vanishes")
     try:
         denom, g1, g2, g3, g4 = _field_scalar(
             1.0 + u * s1, 1.0 + v * s2, u * c1, v * c2, b, c
@@ -205,9 +189,8 @@ def _angle_rates(phi, psi, u, v, b, c):
 def torus_field(pt: TorusPoint, params: PayoffParams) -> tuple:
     """(phi_dot, psi_dot): pushforward of the cube field to the angles.
 
-    The toric denominator G equals the cube denominator up to the factor
-    4/(C1 C2), so a cube-side singularity that slips between the two
-    absolute thresholds is reported as the same toric degeneracy.
+    Raises ToricDenominatorError where the cube denominator vanishes, which
+    includes every point where the toric denominator does.
     """
     return _angle_rates(
         pt.phi, pt.psi, math.sqrt(pt.level.c1), math.sqrt(pt.level.c2),
@@ -268,7 +251,9 @@ def desingularized_field(pt: TorusPoint, params: PayoffParams) -> tuple:
     """
     if params.b != 1.0:
         raise ValueError("desingularized form assumes unit benefit")
-    s1, c1, s2, c2, u, v = _trig(pt)
+    s1, c1 = math.sin(pt.phi), math.cos(pt.phi)
+    s2, c2 = math.sin(pt.psi), math.cos(pt.psi)
+    u, v = math.sqrt(pt.level.c1), math.sqrt(pt.level.c2)
     c = params.c
     e13 = _e13_on_torus(s1, c1, s2, c2, u, v, c)
     e2 = u * _e2_linear_coefficient(s1, c1, s2, c2, v, c) + u * u * (
@@ -429,13 +414,14 @@ def field_grid(level: TorusLevel, params: PayoffParams, resolution: int = 40):
     return phi_flat, psi_flat, fphi, fpsi
 
 
-def denominator_zero_segments(level: TorusLevel, resolution: int = 200) -> np.ndarray:
+def denominator_zero_segments(level: TorusLevel) -> np.ndarray:
     """Sampled G = 0 contour as line segments (phi1, psi1, phi2, psi2).
 
-    Marching-squares on a regular grid: each cell contributes a segment
-    per pair of sign-change edge crossings (linear interpolation).
+    Marching-squares on a regular 200 x 200 cell grid: each cell
+    contributes a segment per pair of sign-change edge crossings (linear
+    interpolation).
     """
-    ticks = np.linspace(0.0, _TWO_PI, resolution + 1)
+    ticks = np.linspace(0.0, _TWO_PI, _CONTOUR_CELLS + 1)
     phi_grid, psi_grid = np.meshgrid(ticks, ticks, indexing="ij")
     return _march_cells(ticks, toric_denominator(phi_grid, psi_grid, level))
 

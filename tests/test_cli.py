@@ -124,6 +124,28 @@ class TestMatrix:
         nu = stationary(build_matrix_direct(p, q))
         assert doc["stationary"] == list(nu)
 
+    # sha256 of `altpd matrix` stdout as recorded while CSV cells were still
+    # formatted through repr(float(x)); the memory-3 CSV cells are numpy
+    # float64 values.
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ["--n", "1", "--p", "random:7", "--q", "random:8"],
+                "4a0469ce9ba161ff23348d345ed2317b33b411b5ea34ad2fbb2ecf1adb1b8785",
+            ),
+            (
+                ["--n", "3", "--p", "random:1", "--q", "random:2", "--format", "csv"],
+                "d8d248e6441c5e7c200e94e0097a78a69000b3e9f646d6176f5a44589a62abd1",
+            ),
+        ],
+        ids=["json-memory-one", "csv-memory-three"],
+    )
+    def test_output_bytes_are_unchanged(self, capsys, args, digest):
+        code, out, _ = run_cli(["matrix", *args], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_random_preset_is_deterministic(self, capsys):
         args = ["matrix", "--n", "1", "--p", "random:11", "--q", "random:12"]
         code1, out1, _ = run_cli(args, capsys)

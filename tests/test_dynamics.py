@@ -641,12 +641,35 @@ def test_interior_plane_point_formula():
 # ---- stability ----
 
 
+def _central_jacobian(field, x, step):
+    """Central differences of field at x, one column per coordinate."""
+    columns = []
+    for j in range(x.size):
+        hi, lo = x.copy(), x.copy()
+        hi[j] += step
+        lo[j] -= step
+        columns.append((field(hi, PARAMS) - field(lo, PARAMS)) / (2.0 * step))
+    return np.column_stack(columns)
+
+
 def test_jacobian_methods_agree():
+    # Memory 1: the complex-step Jacobian against central differences of
+    # the closed form.
     x = RNG.uniform(0.2, 0.8, 4)
-    j_complex = jacobian(x, PARAMS, method="complex-step")
-    j_central = jacobian(x, PARAMS, method="central")
+    j_complex = jacobian(x, PARAMS)
+    j_central = _central_jacobian(field_closed_form, x, 1e-5)
     scale = np.max(np.abs(j_complex))
     assert np.max(np.abs(j_complex - j_central)) / scale < 1e-6
+
+
+def test_memory_two_jacobian_is_central_differences_of_the_numeric_field():
+    # A memory-1 interior state lifted to memory 2 (only the last round
+    # counts); at memory N the Jacobian differences field_numeric with
+    # step 1e-5.
+    x1 = np.random.default_rng(17).uniform(0.2, 0.8, 4)
+    x = x1[np.arange(16) & 3]
+    want = _central_jacobian(field_numeric, x, 1e-5)
+    assert np.array_equal(jacobian(x, PARAMS), want)
 
 
 def test_plane_point_is_a_degenerate_saddle():

@@ -300,24 +300,26 @@ class TestAdmissibleRectangle:
             x = to_cube(pt)
             assert np.all(x > -1e-9) and np.all(x < 1.0 + 1e-9)
 
-    def test_contains_tolerance(self):
-        rect = AdmissibleRectangle((1.0, 2.0), (1.0, 2.0))
-        assert not rect.contains(0.99, 1.5)
-        assert rect.contains(0.99, 1.5, tol=0.02)
-        assert not rect.contains(1.01, 1.5, tol=-0.02)
-
 
 class TestToricDenominator:
     def test_matches_scaled_cube_denominator(self):
+        # G = 4 A / (C1 C2) with C1, C2 <= 2, so |A| <= |G|: the cube-side
+        # guard of _angle_rates fires wherever |G| falls below its threshold.
         rng = np.random.default_rng(8)
-        for _ in range(200):
-            level = TorusLevel(rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0))
-            phi = rng.uniform(0, TWO_PI)
-            psi = rng.uniform(0, TWO_PI)
-            g = toric_denominator(phi, psi, level)
-            a = cube_denominator(to_cube(TorusPoint(phi, psi, level)), 1.0, 0.3)
-            expect = 4.0 * a / (level.c1 * level.c2)
-            assert abs(g - expect) < 1e-10 * max(1.0, abs(expect))
+        edges = (1e-6, 1e-3, 2.0)
+        levels = [TorusLevel(c1, c2) for c1 in edges for c2 in edges]
+        levels += [
+            TorusLevel(*10.0 ** rng.uniform(-6.0, math.log10(2.0), 2))
+            for _ in range(200)
+        ]
+        for level in levels:
+            for _ in range(20):
+                phi, psi = rng.uniform(0, TWO_PI, 2)
+                g = toric_denominator(phi, psi, level)
+                a = cube_denominator(to_cube(TorusPoint(phi, psi, level)), 1.0, 0.3)
+                expect = 4.0 * a / (level.c1 * level.c2)
+                assert abs(g - expect) < 1e-10 * max(1.0, abs(expect))
+                assert abs(a) <= abs(g) * (1.0 + 1e-9)
 
     def test_accepts_arrays(self):
         level = TorusLevel(0.5, 0.5)
@@ -662,7 +664,7 @@ class TestGridExports:
 
     def test_zero_segments_lie_on_contour(self):
         level = TorusLevel(*PANEL_A[1:])
-        segs = denominator_zero_segments(level, resolution=100)
+        segs = denominator_zero_segments(level)
         assert segs.ndim == 2 and segs.shape[1] == 4 and len(segs) > 0
         assert segs.min() >= 0.0 and segs.max() <= TWO_PI + 1e-12
         ends = np.vstack([segs[:, :2], segs[:, 2:]])
@@ -682,12 +684,14 @@ class TestGridExports:
         for c, c1, c2 in (PANEL_A, PANEL_B):
             level = TorusLevel(c1, c2)
             rect = admissible_rectangle(level)
-            segs = denominator_zero_segments(level, resolution=150)
-            for x1, y1, x2, y2 in segs:
-                assert not rect.contains(x1, y1, tol=-0.02)
-                assert not rect.contains(x2, y2, tol=-0.02)
+            (lo1, hi1), (lo2, hi2) = rect.phi_interval, rect.psi_interval
+            # The admissible rectangle shrunk by 0.02 on every side.
+            inner = AdmissibleRectangle((lo1 + 0.02, hi1 - 0.02), (lo2 + 0.02, hi2 - 0.02))
+            for x1, y1, x2, y2 in denominator_zero_segments(level):
+                assert not inner.contains(x1, y1)
+                assert not inner.contains(x2, y2)
 
-    def test_gathered_contour_matches_the_per_cell_walk(self):
+    def test_gathered_contour_matches_the_per_cell_walk(self, monkeypatch):
         rng = np.random.default_rng(41)
         # Levels on both sides of 1 in each coordinate.
         levels = [
@@ -701,10 +705,11 @@ class TestGridExports:
             for _ in range(8)
         ]
         for resolution in (3, 17, 200):
+            monkeypatch.setattr("altpd.torus._CONTOUR_CELLS", resolution)
             ticks = np.linspace(0.0, TWO_PI, resolution + 1)
             phi, psi = np.meshgrid(ticks, ticks, indexing="ij")
             for level in levels:
-                got = denominator_zero_segments(level, resolution)
+                got = denominator_zero_segments(level)
                 want = per_cell_segments(ticks, toric_denominator(phi, psi, level))
                 assert got.shape == want.shape
                 assert np.array_equal(got, want)
@@ -731,7 +736,7 @@ class TestGridExports:
         level = TorusLevel(*PANEL_A[1:])
         tracemalloc.start()
         try:
-            denominator_zero_segments(level, 200)
+            denominator_zero_segments(level)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
