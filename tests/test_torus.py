@@ -291,6 +291,9 @@ class TestAdmissibleRectangle:
             pt = to_torus(x)
             rect = admissible_rectangle(pt.level)
             assert rect.contains(pt.phi, pt.psi)
+            # phi + pi maps x1 to 2 - x1 > 1, outside the cube.
+            flipped = TorusPoint(pt.phi + math.pi, pt.psi, pt.level)
+            assert not rect.contains(flipped.phi, flipped.psi)
 
     def test_rectangle_points_map_into_cube(self):
         rng = np.random.default_rng(7)
