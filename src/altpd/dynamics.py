@@ -12,6 +12,7 @@ flow lives on two-dimensional tori inside the cube.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -54,13 +55,16 @@ _JACOBIAN_STEP = 1e-5
 # both operands are floats, and these values convert exactly.
 _CONSTS = (1.0, 2.0, -2.0)
 _ARRAY_CONSTS = tuple(np.array(v) for v in _CONSTS)
-# conservation_drift steps its rows as one numpy batch only while more than
-# this many are live. A batch RK4 step costs about 195 us at 17 to 64 rows
-# (each stage is ~95 ufunc calls on short arrays, most with a 0-d operand)
-# and a scalar row step about 5.5 us, so the two cross near 35 rows (best
-# of 40 repeats, 2-vCPU x86 host). The switch point changes the cost, never
-# the result.
-_DRIFT_SCALAR_ROWS = 16
+# conservation_drift steps its rows as one numpy block only while more than
+# this many are live. A block RK4 step costs as much as 31 to 32 scalar row
+# steps at 1 to 64 rows (each stage is ~75 ufunc calls whose cost hardly
+# depends on the row count; medians of 25 repeats, 2-vCPU x86 host). The
+# switch point changes the cost, never the result.
+_DRIFT_SCALAR_ROWS = 32
+# The block writes each step's state into a buffer of this many float64
+# values (256 KiB) and reads exits and invariant maxima once per buffer. A
+# 1 MiB buffer ran no faster and raised the benchmark's peak RSS by 2 MB.
+_DRIFT_BUFFER = 1 << 15
 # A straggler is marched this many steps at a time, so the states kept for
 # its drift stay near 1 MB however long the run.
 _DRIFT_CHUNK = 4096
@@ -98,7 +102,8 @@ def _field_components(x1, x2, x3, x4, b, c, consts):
     gives the same bits; on 64-row arrays numpy combines an array with a
     0-d array in about half the time it takes to convert a Python number.
     Each repeated subexpression is computed once, as the same expression
-    tree at every use.
+    tree at every use, and the squared denominator factor is a product, so
+    floats and arrays take the same operations.
     """
     one, two, minus_two = consts
     x2_x4 = x2 - x4
@@ -107,8 +112,9 @@ def _field_components(x1, x2, x3, x4, b, c, consts):
     two_x2_x3 = two * x2 * x3
     two_x4 = two * x4
     x3_x4 = x3 * x4
+    x1_x4 = x1 * x4
     e13 = (
-        b * x2_x4 * (x1 * (-x4) + x1 + x2 * (x3 - one) - x3 + x4)
+        b * x2_x4 * (x1 - x1_x4 + x2 * (x3 - one) - x3 + x4)
         + b * (x2 - x1)
         + c
         * (
@@ -118,7 +124,7 @@ def _field_components(x1, x2, x3, x4, b, c, consts):
         )
     )
     e2 = (
-        b * (x3 * k + x1 * x4 * (x3 - x1) + x4)
+        b * (x3 * k + x1_x4 * (x3 - x1) + x4)
         + c
         * (
             x1 * x1 * (x2_x4 - one)
@@ -129,15 +135,15 @@ def _field_components(x1, x2, x3, x4, b, c, consts):
             + one
         )
     )
-    denom = (x1 * x2_1 - two_x2_x3 + x2 + x3_x4 - one) * (
-        x1 * (x2 - two_x4 - one) - x2 + (x3 + two) * x4 + one
-    ) ** 2
+    square = x1 * (x2 - two_x4 - one) - x2 + (x3 + two) * x4 + one
+    denom = (x1 * x2_1 - two_x2_x3 + x2 + x3_x4 - one) * (square * square)
     one_x1 = one - x1
+    one_x1_x4 = one_x1 * x4
     return (
         denom,
         x3_x4 * e13,
-        one_x1 * x4 * e2,
-        -(x1 - one) * x4 * e13,
+        one_x1_x4 * e2,
+        one_x1_x4 * e13,
         -one_x1 * x2_1 * e2,
     )
 
@@ -147,32 +153,26 @@ def _field_scalar(x1, x2, x3, x4, b, c):
 
     Returns the flat tuple (denom, g1, g2, g3, g4) with the same operations,
     in the same order, as _field_raw, so results agree bit for bit with
-    field_closed_form on a single state. Callers apply their own |denom|
-    threshold; an exactly zero denominator raises FieldSingularError here
-    instead of dividing, and so does a squared factor beyond the float
-    range (float ** 2 raises OverflowError where numpy would return inf).
+    field_closed_form on a batch row. Callers apply their own |denom|
+    threshold; a denominator that is exactly zero or not finite raises
+    FieldSingularError here instead of dividing.
     """
-    try:
-        denom, n1, n2, n3, n4 = _field_components(x1, x2, x3, x4, b, c, _CONSTS)
-    except OverflowError:
-        raise FieldSingularError("field denominator overflows") from None
-    if denom == 0.0:
-        raise FieldSingularError("field denominator vanishes")
+    denom, n1, n2, n3, n4 = _field_components(x1, x2, x3, x4, b, c, _CONSTS)
+    if not 0.0 < abs(denom) < math.inf:
+        raise FieldSingularError("field denominator vanishes or is not finite")
     return denom, n1 / denom, n2 / denom, n3 / denom, n4 / denom
 
 
 def _field_raw(x, b, c):
-    """(denom, field) on arrays, without a denominator check.
+    """(denom, field) on arrays of shape (..., 4), without a denominator check.
 
     The kernel's constants, b and c enter as 0-d float arrays.
     """
-    x1, x2, x3, x4 = (x[..., i] for i in range(4))
     b, c = np.asarray(b, dtype=float), np.asarray(c, dtype=float)
-    denom, *numerators = _field_components(x1, x2, x3, x4, b, c, _ARRAY_CONSTS)
-    field = np.empty(x.shape, denom.dtype)
-    for i, numerator in enumerate(numerators):
-        np.divide(numerator, denom, out=field[..., i])
-    return denom, field
+    denom, *numerators = _field_components(
+        *(x[..., i] for i in range(4)), b, c, _ARRAY_CONSTS
+    )
+    return denom, np.divide(np.stack(numerators, axis=-1), denom[..., np.newaxis])
 
 
 def field_closed_form(x, params: PayoffParams) -> np.ndarray:
@@ -180,11 +180,18 @@ def field_closed_form(x, params: PayoffParams) -> np.ndarray:
 
     Raises FieldSingularError where the common rational denominator
     vanishes (it is nonzero on the open cube, where the underlying chain
-    is irreducible).
+    is irreducible). A single state runs on the scalar kernel, which gives
+    the bits of a batch row and also raises where the denominator is not
+    finite.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 4:
         raise ValueError("closed form requires memory 1 (four coordinates)")
+    if x.ndim == 1:
+        denom, *field = _field_scalar(*x.tolist(), params.b, params.c)
+        if abs(denom) < _DENOMINATOR_TOL:
+            raise FieldSingularError("field denominator vanishes")
+        return np.array(field)
     with np.errstate(divide="ignore", invalid="ignore"):
         denom, field = _field_raw(x, params.b, params.c)
     if np.any(np.abs(denom) < _DENOMINATOR_TOL):
@@ -304,21 +311,26 @@ class Trajectory:
 
 def _interior(x) -> bool:
     # Chained comparisons are False for NaN, so NaN states count as exits.
-    return all(_BOUNDARY_LO <= v <= _BOUNDARY_HI for v in x)
+    lo, hi = _BOUNDARY_LO, _BOUNDARY_HI
+    if len(x) == 4:
+        x1, x2, x3, x4 = x
+        return lo <= x1 <= hi and lo <= x2 <= hi and lo <= x3 <= hi and lo <= x4 <= hi
+    return all(lo <= v <= hi for v in x)
 
 
-def _rk4_step(rates, x, dt):
+def _rk4_step(rates, x, dt, out=None):
     """One classical RK4 step on numpy arrays (broadcasts over batches).
 
     The step's constants are 0-d arrays, which give the bits of Python
-    floats at a lower cost per call (see _field_components).
+    floats at a lower cost per call (see _field_components). The new state
+    is written to out when it is given.
     """
     half, step, sixth, two = (np.array(v) for v in (0.5 * dt, dt, dt / 6.0, 2.0))
     k1 = rates(x)
     k2 = rates(x + half * k1)
     k3 = rates(x + half * k2)
     k4 = rates(x + step * k3)
-    return x + sixth * (k1 + two * k2 + two * k3 + k4)
+    return np.add(x, sixth * (k1 + two * k2 + two * k3 + k4), out=out)
 
 
 def _cube_step(params):
@@ -366,10 +378,9 @@ def _march(step, y0, n_steps, dt, caught, inside):
     `inside`; the failing state is not recorded.
     """
     y = y0
-    times = [0.0]
     states = [y]
     status = "completed"
-    for k in range(1, n_steps + 1):
+    for _ in range(n_steps):
         try:
             y = step(y, dt)
         except caught:
@@ -378,9 +389,8 @@ def _march(step, y0, n_steps, dt, caught, inside):
         if not inside(y):
             status = "boundary"
             break
-        times.append(k * dt)
         states.append(y)
-    return np.asarray(times), np.asarray(states, dtype=float), status
+    return np.arange(len(states)) * dt, np.asarray(states, dtype=float), status
 
 
 def _integrate_rk4(x0, params, n_steps, dt):
@@ -515,6 +525,21 @@ def integrate(
     raise ValueError("method must be 'rk4' or 'rk45'")
 
 
+def _read_chunk(states, start1, start2, max1, max2):
+    """Exits and invariant maxima of a chunk of block states (steps, 4, rows).
+
+    Each row's maxima are updated over the steps before its first exit
+    from [1e-9, 1-1e-9]; its later states are not read. Returns (keep,
+    max1, max2), where keep marks the rows still inside after the last step.
+    """
+    inside = ((states >= _BOUNDARY_LO) & (states <= _BOUNDARY_HI)).all(axis=1)
+    alive = np.logical_and.accumulate(inside, axis=0)
+    f1, f2 = _levels(np.moveaxis(states, 1, -1))
+    max1 = np.maximum(max1, np.abs(f1 - start1).max(axis=0, initial=0.0, where=alive))
+    max2 = np.maximum(max2, np.abs(f2 - start2).max(axis=0, initial=0.0, where=alive))
+    return alive[-1], max1, max2
+
+
 def conservation_drift(
     x0_batch, params: PayoffParams, t_final: float, dt: float = 1e-3
 ):
@@ -526,55 +551,60 @@ def conservation_drift(
     (drift_f1, drift_f2), each of shape (n_trajectories,). Raises
     ValueError under the same step rule as integrate.
 
-    The rows are stepped together as one numpy batch while more than 16 of
-    them are live; each row still live after that finishes on the scalar
-    kernel of integrate. The kernels differ only in squaring the
-    denominator's second factor (v*v in the batch, C pow in the scalar
-    kernel), which can move a field value's last bit;
-    test_drift_matches_the_batch_loop_bit_for_bit pins the drift against
-    an all-batch loop. A row finishing on the scalar kernel also freezes,
-    as integrate halts, when its start-of-step field denominator is below
-    1e-14 in magnitude.
-
-    The batch carries its live rows as one dense block: row numbers,
-    states, initial levels and running maxima. A step on which some row
-    exits writes that row's maxima back and compacts the block; no other
-    step gathers or scatters.
+    The live rows are stepped together as one C-contiguous (4, n) block,
+    one coordinate per row, and each step's state goes into a buffer of
+    256 KiB (at least one step). When the buffer is full, or the run ends,
+    each row's first exit is found, its invariant maxima are taken over the
+    steps before that exit, and the rows that left are dropped from the
+    block. Until then a row that has left keeps stepping with the others;
+    those values are never read. When at most 32 rows are live at a
+    buffer's end, each finishes on the scalar kernel of integrate, which
+    takes the same operations as the block, so where the switch falls does
+    not change the drift (test_drift_matches_the_batch_loop_bit_for_bit
+    pins it against an all-batch loop). A row finishing on the scalar
+    kernel also freezes, as integrate halts, when its start-of-step field
+    denominator is below 1e-14 in magnitude.
     """
-    x = np.array(x0_batch, dtype=float)
+    x = np.asarray(x0_batch, dtype=float)
     if x.ndim != 2 or x.shape[1] != 4:
         raise ValueError("x0_batch must have shape (n, 4)")
     if not _interior(x.ravel()):
         raise ValueError("initial states must be interior")
     n_steps = _step_count(t_final, dt)
-    lo, hi = np.array(_BOUNDARY_LO), np.array(_BOUNDARY_HI)
+    b, c = np.asarray(params.b, dtype=float), np.asarray(params.c, dtype=float)
 
     def rates(y):
-        return _field_raw(y, params.b, params.c)[1]
+        denom, *numerators = _field_components(*y, b, c, _ARRAY_CONSTS)
+        field = np.array(numerators)
+        return np.divide(field, denom, out=field)
 
     drift1 = np.zeros(x.shape[0])
     drift2 = np.zeros(x.shape[0])
     rows = np.arange(x.shape[0])
     start1, start2 = _levels(x)
     max1, max2 = np.zeros(x.shape[0]), np.zeros(x.shape[0])
+    block = np.ascontiguousarray(x.T)
+    buffer = np.empty(max(block.size, min(_DRIFT_BUFFER, n_steps * block.size)))
     done = 0
     while done < n_steps and rows.size > _DRIFT_SCALAR_ROWS:
-        stepped = _rk4_step(rates, x, dt)
-        inside = np.all((stepped >= lo) & (stepped <= hi), axis=1)
-        if not inside.all():
-            gone = ~inside
+        count = min(n_steps - done, buffer.size // block.size)
+        states = buffer[: count * block.size].reshape(count, 4, rows.size)
+        y = block
+        with np.errstate(all="ignore"):
+            for t in range(count):
+                y = _rk4_step(rates, y, dt, out=states[t])
+        keep, max1, max2 = _read_chunk(states, start1, start2, max1, max2)
+        done += count
+        if not keep.all():
+            gone = ~keep
             drift1[rows[gone]], drift2[rows[gone]] = max1[gone], max2[gone]
-            rows, stepped, start1, start2, max1, max2 = (
-                a[inside] for a in (rows, stepped, start1, start2, max1, max2)
+            rows, start1, start2, max1, max2 = (
+                a[keep] for a in (rows, start1, start2, max1, max2)
             )
-        x = stepped
-        f1, f2 = _levels(x)
-        max1 = np.maximum(max1, np.abs(f1 - start1))
-        max2 = np.maximum(max2, np.abs(f2 - start2))
-        done += 1
+        block = np.compress(keep, states[-1], axis=1)
     drift1[rows], drift2[rows] = max1, max2
     step = _cube_step(params)
-    for i, state, f1_0, f2_0 in zip(rows, x.tolist(), start1, start2):
+    for i, state, f1_0, f2_0 in zip(rows, block.T.tolist(), start1, start2):
         y, left, status = tuple(state), n_steps - done, "completed"
         while left and status == "completed":
             count = min(left, _DRIFT_CHUNK)

@@ -371,7 +371,7 @@ def torus_trajectory(
     b, c = params.b, params.c
 
     def rates(phi, psi):
-        return _angle_rates(_wrap(phi), _wrap(psi), u, v, b, c)
+        return _angle_rates(phi % _TWO_PI, psi % _TWO_PI, u, v, b, c)
 
     def step(y, dt):
         # Classical RK4 written out on the two angles, with the expressions

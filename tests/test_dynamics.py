@@ -1,6 +1,7 @@
 """Memory-1 adaptive dynamics: field, flow, conservation, stability."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from altpd.dynamics import (
     _field_raw,
     _field_scalar,
     _interior,
+    _march,
     classify_equilibrium,
     conservation_drift,
     equilibrium_families,
@@ -147,7 +149,8 @@ def _same_bits(a, b):
 
 def _components_as_written(x1, x2, x3, x4, b, c):
     """Denominator and numerators of the memory-1 field with every
-    subexpression written out where it is used, on Python numbers."""
+    subexpression written out where it is used, on Python numbers. The
+    squared denominator factor is a product, as in the kernel."""
     e13 = (
         b * (x2 - x4) * (x1 * (-x4) + x1 + x2 * (x3 - 1) - x3 + x4)
         + b * (x2 - x1)
@@ -170,9 +173,8 @@ def _components_as_written(x1, x2, x3, x4, b, c):
             + 1
         )
     )
-    denom = (x1 * (x2 - 1) - 2 * x2 * x3 + x2 + x3 * x4 - 1) * (
-        x1 * (x2 - 2 * x4 - 1) - x2 + (x3 + 2) * x4 + 1
-    ) ** 2
+    square = x1 * (x2 - 2 * x4 - 1) - x2 + (x3 + 2) * x4 + 1
+    denom = (x1 * (x2 - 1) - 2 * x2 * x3 + x2 + x3 * x4 - 1) * (square * square)
     return (
         denom,
         x3 * x4 * e13,
@@ -232,6 +234,20 @@ def test_array_kernel_matches_the_written_out_field_bit_for_bit():
         for row in rows:
             for y in [row, *_complex_steps(row)]:
                 check(y)
+
+
+def test_single_state_field_matches_its_batch_row_bit_for_bit():
+    # A single state takes the scalar kernel, a batch the array kernel.
+    x = _kernel_points(32, 100_000)
+    with np.errstate(all="ignore"):
+        denom, batch = _field_raw(x, PARAMS.b, PARAMS.c)
+    regular = np.abs(denom) >= 1e-14
+    got = np.array([field_closed_form(row, PARAMS) for row in x[regular]])
+    assert _same_bits(got, batch[regular])
+    assert np.count_nonzero(~regular) >= 1
+    for row in x[~regular]:
+        with pytest.raises(FieldSingularError):
+            field_closed_form(row, PARAMS)
 
 
 def test_scalar_kernel_matches_the_written_out_field_bit_for_bit():
@@ -296,7 +312,7 @@ def _batch_drift(x0_batch, t_final, dt=1e-3):
     """Reference: every row stepped as one numpy batch until it exits.
 
     Also returns, per row, how many rows were live on the step that froze
-    it (0 for rows that never froze).
+    it and that step's number (both 0 for rows that never froze).
     """
     x = np.array(x0_batch, dtype=float)
     f1_0 = (x[:, 0] - 1.0) ** 2 + x[:, 2] ** 2
@@ -304,14 +320,16 @@ def _batch_drift(x0_batch, t_final, dt=1e-3):
     drift1 = np.zeros(x.shape[0])
     drift2 = np.zeros(x.shape[0])
     frozen_among = np.zeros(x.shape[0], dtype=int)
+    frozen_on = np.zeros(x.shape[0], dtype=int)
     active = np.ones(x.shape[0], dtype=bool)
-    for _ in range(int(round(t_final / dt))):
+    for step in range(1, int(round(t_final / dt)) + 1):
         if not active.any():
             break
         stepped = _rk4_step_as_written(_rates_as_written, x[active], dt)
         inside = np.all((stepped >= 1e-9) & (stepped <= 1.0 - 1e-9), axis=1)
         idx = np.flatnonzero(active)
         frozen_among[idx[~inside]] = idx.size
+        frozen_on[idx[~inside]] = step
         x[idx[inside]] = stepped[inside]
         active[idx[~inside]] = False
         live = idx[inside]
@@ -319,7 +337,7 @@ def _batch_drift(x0_batch, t_final, dt=1e-3):
         f2 = (x[live, 1] - 1.0) ** 2 + x[live, 3] ** 2
         drift1[live] = np.maximum(drift1[live], np.abs(f1 - f1_0[live]))
         drift2[live] = np.maximum(drift2[live], np.abs(f2 - f2_0[live]))
-    return drift1, drift2, frozen_among
+    return drift1, drift2, frozen_among, frozen_on
 
 
 def _drift_starts(seed, rows, t_final, low, high, route):
@@ -352,7 +370,7 @@ def _drift_starts(seed, rows, t_final, low, high, route):
     [
         (7, 64, 0.5, 0.1, 0.9, "batch"),
         (9, 10, 20.0, 0.1, 0.9, "scalar"),
-        (10, 24, 2.0, 0.05, 0.95, "both"),
+        (10, 40, 2.0, 0.05, 0.95, "both"),
         (21, 64, 1.0, 0.05, 0.95, "same-step"),
         (22, 48, 0.5, 0.1, 0.9, "step-1"),
         (23, 200, 3.0, 0.05, 0.95, "switch"),
@@ -362,18 +380,28 @@ def test_drift_matches_the_batch_loop_bit_for_bit(
     seed, rows, t_final, low, high, route, monkeypatch
 ):
     starts = _drift_starts(seed, rows, t_final, low, high, route)
-    ref1, ref2, frozen_among = _batch_drift(starts, t_final)
+    ref1, ref2, frozen_among, _ = _batch_drift(starts, t_final)
     d1, d2 = conservation_drift(starts, PARAMS, t_final)
     assert np.array_equal(d1, ref1) and np.array_equal(d2, ref2)
     # Stragglers are marched in chunks; many short ones must agree too.
     monkeypatch.setattr("altpd.dynamics._DRIFT_CHUNK", 97)
+    marched = []
+
+    def march(*args):
+        marched.append(args[2])
+        return _march(*args)
+
+    monkeypatch.setattr("altpd.dynamics._march", march)
     d1, d2 = conservation_drift(starts, PARAMS, t_final)
     assert np.array_equal(d1, ref1) and np.array_equal(d2, ref2)
+    # Rows frozen while more rows than the switch point were live froze in
+    # the block; the scalar route ran if anything was marched.
     in_batch = frozen_among > _DRIFT_SCALAR_ROWS
     in_scalar = (frozen_among > 0) & ~in_batch
     if route == "batch":
         # The live count never drops to the switch.
         assert rows - np.count_nonzero(frozen_among) > _DRIFT_SCALAR_ROWS
+        assert not marched
     elif route == "scalar":
         assert rows <= _DRIFT_SCALAR_ROWS and in_scalar.any()
     elif route == "same-step":
@@ -384,8 +412,56 @@ def test_drift_matches_the_batch_loop_bit_for_bit(
         gone = ~np.all((first >= _BOUNDARY_LO) & (first <= _BOUNDARY_HI), axis=1)
         assert np.count_nonzero(gone) >= 2 and np.all(frozen_among[gone] == rows)
     else:
-        assert in_batch.any() and in_scalar.any()
+        assert in_batch.any() and in_scalar.any() and marched
         assert np.count_nonzero(frozen_among == 0) > 0
+
+
+def test_drift_memory_does_not_grow_with_steps_times_rows():
+    # 20,000 rows for 6 steps. Each step's own arrays peak near 7.9 MB
+    # (about 12 times the 0.64 MB of states); keeping every step of every
+    # row instead of one buffer-load would add 0.64 MB per step.
+    x = np.random.default_rng(5).uniform(0.2, 0.8, (20_000, 4))
+    tracemalloc.start()
+    try:
+        conservation_drift(x, PARAMS, 6e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
+def _exits_and_returns(x0_batch, t_final, dt=1e-3):
+    """Per row: whether its orbit, stepped on past its first exit, is back
+    inside [1e-9, 1-1e-9] on some later step."""
+    x = np.array(x0_batch, dtype=float)
+    left = np.zeros(x.shape[0], dtype=bool)
+    back = np.zeros(x.shape[0], dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(int(round(t_final / dt))):
+            x = _rk4_step_as_written(_rates_as_written, x, dt)
+            inside = np.all((x >= 1e-9) & (x <= 1.0 - 1e-9), axis=1)
+            back |= left & inside
+            left |= ~inside
+    return back
+
+
+@pytest.mark.parametrize("chunk", ["ends-on-first-exit", "first-exit-plus-3", "whole-run"])
+def test_drift_reads_an_exit_anywhere_in_a_chunk(chunk, monkeypatch):
+    # The block's buffer is sized so that its first chunk ends on the step
+    # on which the first row leaves, or three steps after it, or holds the
+    # whole run. The first row to leave comes back into the cube later in
+    # the run and must stay frozen at its first exit. Every row that
+    # leaves does so while more rows than the switch point are live.
+    starts = _drift_starts(25, 64, 0.5, 0.05, 0.95, "batch")
+    ref1, ref2, frozen_among, frozen_on = _batch_drift(starts, 0.5)
+    first = frozen_on[frozen_on > 0].min()
+    assert _exits_and_returns(starts, 0.5)[frozen_on == first].all()
+    assert np.all(frozen_among[frozen_on > 0] > _DRIFT_SCALAR_ROWS)
+    steps = {"ends-on-first-exit": first, "first-exit-plus-3": first + 3, "whole-run": 500}
+    assert steps[chunk] == 500 or 500 % steps[chunk] != 0
+    monkeypatch.setattr("altpd.dynamics._DRIFT_BUFFER", steps[chunk] * starts.size)
+    d1, d2 = conservation_drift(starts, PARAMS, 0.5)
+    assert np.array_equal(d1, ref1) and np.array_equal(d2, ref2)
 
 
 def test_boundary_halt_keeps_states_inside():
@@ -418,17 +494,23 @@ def test_reversed_trajectory_retraces_the_mirror():
 def _reference_rk4(x0, params, t_final, dt):
     """Fixed-step RK4 through field_closed_form on numpy arrays.
 
-    Returns (states, status) with the integrator's halting rules: stop
-    before a state leaving [1e-9, 1-1e-9], or on a vanishing denominator.
+    The field is evaluated on one-row batches, the numpy route (a single
+    state would take the scalar kernel). Returns (states, status) with the
+    integrator's halting rules: stop before a state leaving
+    [1e-9, 1-1e-9], or on a vanishing denominator.
     """
+
+    def rates(y):
+        return field_closed_form(y[np.newaxis], params)[0]
+
     x = np.asarray(x0, dtype=float)
     states = [x]
     for _ in range(int(round(t_final / dt))):
         try:
-            k1 = field_closed_form(x, params)
-            k2 = field_closed_form(x + 0.5 * dt * k1, params)
-            k3 = field_closed_form(x + 0.5 * dt * k2, params)
-            k4 = field_closed_form(x + dt * k3, params)
+            k1 = rates(x)
+            k2 = rates(x + 0.5 * dt * k1)
+            k3 = rates(x + 0.5 * dt * k2)
+            k4 = rates(x + dt * k3)
         except FieldSingularError:
             return np.asarray(states), "singular"
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
@@ -455,11 +537,15 @@ def test_scalar_kernel_reproduces_the_numpy_route_bit_for_bit():
 
 def test_scalar_kernel_names_exact_zero_and_overflow():
     # A zero denominator must not surface as ZeroDivisionError, nor an
-    # out-of-range square as OverflowError.
+    # out-of-range square (inf) or a NaN state as a non-finite field.
     with pytest.raises(FieldSingularError):
         _field_scalar(1.0, 1.0, 0.0, 0.0, 1.0, 0.3)
     with pytest.raises(FieldSingularError):
         _field_scalar(1e200, 0.5, 0.5, 0.5, 1.0, 0.3)
+    with pytest.raises(FieldSingularError):
+        _field_scalar(math.nan, 0.5, 0.5, 0.5, 1.0, 0.3)
+    with pytest.raises(FieldSingularError):
+        field_closed_form([1e200, 0.5, 0.5, 0.5], PARAMS)
 
 
 def test_nan_state_is_not_interior():
