@@ -559,11 +559,12 @@ def conservation_drift(
     block. Until then a row that has left keeps stepping with the others;
     those values are never read. When at most 32 rows are live at a
     buffer's end, each finishes on the scalar kernel of integrate, which
-    takes the same operations as the block, so where the switch falls does
-    not change the drift (test_drift_matches_the_batch_loop_bit_for_bit
-    pins it against an all-batch loop). A row finishing on the scalar
-    kernel also freezes, as integrate halts, when its start-of-step field
-    denominator is below 1e-14 in magnitude.
+    takes the same operations as the block
+    (test_drift_matches_the_batch_loop_bit_for_bit pins the drift against
+    an all-batch loop). Unlike the block, a row on the scalar kernel also
+    freezes, as integrate halts, when its start-of-step field denominator
+    is below 1e-14 in magnitude; only then can where the switch falls
+    change a drift.
     """
     x = np.asarray(x0_batch, dtype=float)
     if x.ndim != 2 or x.shape[1] != 4:

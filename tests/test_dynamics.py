@@ -403,7 +403,7 @@ def test_drift_matches_the_batch_loop_bit_for_bit(
         assert rows - np.count_nonzero(frozen_among) > _DRIFT_SCALAR_ROWS
         assert not marched
     elif route == "scalar":
-        assert rows <= _DRIFT_SCALAR_ROWS and in_scalar.any()
+        assert rows <= _DRIFT_SCALAR_ROWS and in_scalar.any() and marched
     elif route == "same-step":
         # Some batch step drops at least two rows at once.
         assert np.bincount(frozen_among[in_batch]).max() >= 2
