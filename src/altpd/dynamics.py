@@ -525,19 +525,21 @@ def integrate(
     raise ValueError("method must be 'rk4' or 'rk45'")
 
 
-def _read_chunk(states, start1, start2, max1, max2):
-    """Exits and invariant maxima of a chunk of block states (steps, 4, rows).
+def _read_chunk(states, rows, start1, start2, drift1, drift2):
+    """Read a chunk of block states (steps, 4, live rows) into the drifts.
 
-    Each row's maxima are updated over the steps before its first exit
-    from [1e-9, 1-1e-9]; its later states are not read. Returns (keep,
-    max1, max2), where keep marks the rows still inside after the last step.
+    Raises drift_i[rows] to the largest |F_i - F_i(0)| over the steps
+    before each row's first exit from [1e-9, 1-1e-9]; a row's later states
+    are not read. Returns the mask of rows still inside after the last step.
     """
     inside = ((states >= _BOUNDARY_LO) & (states <= _BOUNDARY_HI)).all(axis=1)
     alive = np.logical_and.accumulate(inside, axis=0)
-    f1, f2 = _levels(np.moveaxis(states, 1, -1))
-    max1 = np.maximum(max1, np.abs(f1 - start1).max(axis=0, initial=0.0, where=alive))
-    max2 = np.maximum(max2, np.abs(f2 - start2).max(axis=0, initial=0.0, where=alive))
-    return alive[-1], max1, max2
+    for drift, level, start in zip(
+        (drift1, drift2), _levels(np.moveaxis(states, 1, -1)), (start1, start2)
+    ):
+        worst = np.abs(level - start[rows]).max(axis=0, initial=0.0, where=alive)
+        drift[rows] = np.maximum(drift[rows], worst)
+    return alive[-1]
 
 
 def conservation_drift(
@@ -583,7 +585,6 @@ def conservation_drift(
     drift2 = np.zeros(x.shape[0])
     rows = np.arange(x.shape[0])
     start1, start2 = _levels(x)
-    max1, max2 = np.zeros(x.shape[0]), np.zeros(x.shape[0])
     block = np.ascontiguousarray(x.T)
     buffer = np.empty(max(block.size, min(_DRIFT_BUFFER, n_steps * block.size)))
     done = 0
@@ -594,25 +595,19 @@ def conservation_drift(
         with np.errstate(all="ignore"):
             for t in range(count):
                 y = _rk4_step(rates, y, dt, out=states[t])
-        keep, max1, max2 = _read_chunk(states, start1, start2, max1, max2)
+        keep = _read_chunk(states, rows, start1, start2, drift1, drift2)
         done += count
-        if not keep.all():
-            gone = ~keep
-            drift1[rows[gone]], drift2[rows[gone]] = max1[gone], max2[gone]
-            rows, start1, start2, max1, max2 = (
-                a[keep] for a in (rows, start1, start2, max1, max2)
-            )
+        rows = rows[keep]
         block = np.compress(keep, states[-1], axis=1)
-    drift1[rows], drift2[rows] = max1, max2
     step = _cube_step(params)
-    for i, state, f1_0, f2_0 in zip(rows, block.T.tolist(), start1, start2):
+    for i, state in zip(rows, block.T.tolist()):
         y, left, status = tuple(state), n_steps - done, "completed"
         while left and status == "completed":
             count = min(left, _DRIFT_CHUNK)
             _, s, status = _march(step, y, count, dt, FieldSingularError, _interior)
             f1, f2 = _levels(s)
-            drift1[i] = max(drift1[i], np.max(np.abs(f1 - f1_0)))
-            drift2[i] = max(drift2[i], np.max(np.abs(f2 - f2_0)))
+            drift1[i] = max(drift1[i], np.max(np.abs(f1 - start1[i])))
+            drift2[i] = max(drift2[i], np.max(np.abs(f2 - start2[i])))
             y, left = tuple(s[-1].tolist()), left - count
     return drift1, drift2
 
