@@ -417,7 +417,7 @@ def test_drift_matches_the_batch_loop_bit_for_bit(
 
 
 def test_drift_memory_does_not_grow_with_steps_times_rows():
-    # 20,000 rows for 6 steps. Each step's own arrays peak near 7.9 MB
+    # 20,000 rows for 6 steps. Each step's own arrays peak near 7.6 MB
     # (about 12 times the 0.64 MB of states); keeping every step of every
     # row instead of one buffer-load would add 0.64 MB per step.
     x = np.random.default_rng(5).uniform(0.2, 0.8, (20_000, 4))
