@@ -6,6 +6,14 @@ in the mutant coordinates, evaluated at the resident (mutant = resident).
 For memory 1 the field has an explicit rational closed form; for general
 memory it is obtained by finite differences of the determinant payoff.
 
+The memory-1 field is singular where its common denominator A vanishes,
+which happens on and just past the cube's faces. One rule decides it: a
+point with |A| < 1e-14, or with A not finite, is refused. The two kernel
+entry points apply it, _field_scalar by raising FieldSingularError and
+_field_array by returning NaN, and every route obeys them: a single-state
+or batch field raises, an integrator halts "singular", and a drift row
+freezes.
+
 Memory-1 trajectories conserve (x1-1)^2 + x3^2 and (x2-1)^2 + x4^2, so the
 flow lives on two-dimensional tori inside the cube.
 """
@@ -98,7 +106,7 @@ def _field_components(x1, x2, x3, x4, b, c, consts):
     (complex inputs carry derivative information for the complex step).
     consts holds the constants (1, 2, -2) in the caller's type, and b and c
     take that type too: Python floats for a point given as floats (the
-    scalar path), 0-d float arrays for numpy inputs (_field_raw). Either
+    scalar path), 0-d float arrays for numpy inputs (_field_array). Either
     gives the same bits; on 64-row arrays numpy combines an array with a
     0-d array in about half the time it takes to convert a Python number.
     Each repeated subexpression is computed once, as the same expression
@@ -149,53 +157,52 @@ def _field_components(x1, x2, x3, x4, b, c, consts):
 
 
 def _field_scalar(x1, x2, x3, x4, b, c):
-    """Memory-1 field at one point given as plain floats.
+    """Memory-1 field (g1, g2, g3, g4) at one point given as plain floats.
 
-    Returns the flat tuple (denom, g1, g2, g3, g4) with the same operations,
-    in the same order, as _field_raw, so results agree bit for bit with
-    field_closed_form on a batch row. Callers apply their own |denom|
-    threshold; a denominator that is exactly zero or not finite raises
-    FieldSingularError here instead of dividing.
+    Applies the singularity rule: raises FieldSingularError where the
+    common denominator A has |A| < 1e-14 or is not finite. It takes the
+    operations of _field_array in the same order, so the two agree bit for
+    bit wherever neither refuses.
     """
     denom, n1, n2, n3, n4 = _field_components(x1, x2, x3, x4, b, c, _CONSTS)
-    if not 0.0 < abs(denom) < math.inf:
+    if not _DENOMINATOR_TOL <= abs(denom) < math.inf:
         raise FieldSingularError("field denominator vanishes or is not finite")
-    return denom, n1 / denom, n2 / denom, n3 / denom, n4 / denom
+    return n1 / denom, n2 / denom, n3 / denom, n4 / denom
 
 
-def _field_raw(x, b, c):
-    """(denom, field) on arrays of shape (..., 4), without a denominator check.
+def _field_array(y, b, c):
+    """Memory-1 field on coordinate-first arrays y of shape (4, ...).
 
-    The kernel's constants, b and c enter as 0-d float arrays.
+    Applies the singularity rule of _field_scalar point by point and
+    returns the field with NaN in every column it refuses; on complex-step
+    input the rule reads the real part of A, which is A at the real point.
+    b and c may be floats or 0-d float arrays (see _field_components).
     """
-    b, c = np.asarray(b, dtype=float), np.asarray(c, dtype=float)
     denom, *numerators = _field_components(
-        *(x[..., i] for i in range(4)), b, c, _ARRAY_CONSTS
+        *(y[i, ...] for i in range(4)), b, c, _ARRAY_CONSTS
     )
-    return denom, np.divide(np.stack(numerators, axis=-1), denom[..., np.newaxis])
+    size = np.abs(denom.real)
+    denom = np.where((size >= _DENOMINATOR_TOL) & (size < math.inf), denom, math.nan)
+    field = np.array(numerators)
+    return np.divide(field, denom, out=field)
 
 
 def field_closed_form(x, params: PayoffParams) -> np.ndarray:
     """Memory-1 field in closed form; broadcasts over leading axes of x.
 
-    Raises FieldSingularError where the common rational denominator
-    vanishes (it is nonzero on the open cube, where the underlying chain
-    is irreducible). A single state runs on the scalar kernel, which gives
-    the bits of a batch row and also raises where the denominator is not
-    finite.
+    Raises FieldSingularError where the kernel's singularity rule refuses
+    a state (the denominator is nonzero on the open cube, where the
+    underlying chain is irreducible). A single state runs on the scalar
+    kernel, a batch on the array kernel; they agree bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 4:
         raise ValueError("closed form requires memory 1 (four coordinates)")
     if x.ndim == 1:
-        denom, *field = _field_scalar(*x.tolist(), params.b, params.c)
-        if abs(denom) < _DENOMINATOR_TOL:
-            raise FieldSingularError("field denominator vanishes")
-        return np.array(field)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        denom, field = _field_raw(x, params.b, params.c)
-    if np.any(np.abs(denom) < _DENOMINATOR_TOL):
-        raise FieldSingularError("field denominator vanishes")
+        return np.array(_field_scalar(*x.tolist(), params.b, params.c))
+    field = np.moveaxis(_field_array(np.moveaxis(x, -1, 0), params.b, params.c), 0, -1)
+    if np.isnan(field).any():
+        raise FieldSingularError("field denominator vanishes or is not finite")
     return field
 
 
@@ -236,12 +243,15 @@ def jacobian(x, params: PayoffParams) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     d = x.size
     if d == 4:
-        field_closed_form(x, params)  # raises where the denominator vanishes
         jac = np.empty((4, 4))
         for j in range(4):
             xc = x.astype(complex)
             xc[j] += 1j * _COMPLEX_STEP
-            jac[:, j] = _field_raw(xc, params.b, params.c)[1].imag / _COMPLEX_STEP
+            with np.errstate(invalid="ignore"):
+                field = _field_array(xc, params.b, params.c)
+            if np.isnan(field).any():
+                raise FieldSingularError("field denominator vanishes or is not finite")
+            jac[:, j] = field.imag / _COMPLEX_STEP
         return jac
     jac = np.empty((d, d))
     for j in range(d):
@@ -296,8 +306,9 @@ class Trajectory:
 
     status is "completed" (reached the final time), "boundary" (a
     coordinate left [1e-9, 1-1e-9]; the exiting state is not recorded), or
-    "singular" (field evaluation failed mid-step, or the rk45 step size
-    fell below its minimum; the record up to the last good step).
+    "singular" (the memory-1 field kernel refused a stage point, a
+    memory-N stage left the stencil's room, or the rk45 step size fell
+    below its minimum; the record up to the last good step).
     """
 
     times: np.ndarray
@@ -336,27 +347,25 @@ def _rk4_step(rates, x, dt, out=None):
 def _cube_step(params):
     """Memory-1 RK4 step on a tuple of floats.
 
-    The step is guarded by the start-of-step field denominator. The stages
-    and the combination are written out on named floats with the
-    expressions of _rk4_step, element by element and in the same order, so
-    the step agrees with it bit for bit without numpy's per-call overhead
-    on short states.
+    Each stage runs on _field_scalar, so a refused stage point raises
+    FieldSingularError. The stages and the combination are written out on
+    named floats with the expressions of _rk4_step, element by element and
+    in the same order, so the step agrees with it bit for bit without
+    numpy's per-call overhead on short states.
     """
     b, c = params.b, params.c
 
     def step(x, dt):
         x1, x2, x3, x4 = x
-        denom, a1, a2, a3, a4 = _field_scalar(x1, x2, x3, x4, b, c)
-        if abs(denom) < _DENOMINATOR_TOL:
-            raise FieldSingularError("field denominator vanishes")
+        a1, a2, a3, a4 = _field_scalar(x1, x2, x3, x4, b, c)
         half = 0.5 * dt
-        _, p1, p2, p3, p4 = _field_scalar(
+        p1, p2, p3, p4 = _field_scalar(
             x1 + half * a1, x2 + half * a2, x3 + half * a3, x4 + half * a4, b, c
         )
-        _, q1, q2, q3, q4 = _field_scalar(
+        q1, q2, q3, q4 = _field_scalar(
             x1 + half * p1, x2 + half * p2, x3 + half * p3, x4 + half * p4, b, c
         )
-        _, r1, r2, r3, r4 = _field_scalar(
+        r1, r2, r3, r4 = _field_scalar(
             x1 + dt * q1, x2 + dt * q2, x3 + dt * q3, x4 + dt * q4, b, c
         )
         sixth = dt / 6.0
@@ -510,7 +519,8 @@ def integrate(
     scipy's RK45 step-size controller step for step.
     Integration halts, without recording the exiting state, when any
     coordinate leaves [1e-9, 1-1e-9]: clamping would silently break the
-    conserved quantities. Raises ValueError for a start outside that
+    conserved quantities; it halts "singular" as Trajectory says.
+    Raises ValueError for a start outside that
     range, or unless t_final, dt and t_final / dt are finite and positive
     (for "rk45" too, although it chooses its own steps).
     """
@@ -559,14 +569,13 @@ def conservation_drift(
     each row's first exit is found, its invariant maxima are taken over the
     steps before that exit, and the rows that left are dropped from the
     block. Until then a row that has left keeps stepping with the others;
-    those values are never read. When at most 32 rows are live at a
-    buffer's end, each finishes on the scalar kernel of integrate, which
-    takes the same operations as the block
+    those values are never read. A stage point the field kernel refuses
+    makes the row NaN, which counts as an exit, so the row freezes at its
+    last state as integrate halts "singular". When at most 32 rows are live
+    at a buffer's end, each finishes on the scalar kernel of integrate,
+    which takes the same operations as the block
     (test_drift_matches_the_batch_loop_bit_for_bit pins the drift against
-    an all-batch loop). Unlike the block, a row on the scalar kernel also
-    freezes, as integrate halts, when its start-of-step field denominator
-    is below 1e-14 in magnitude; only then can where the switch falls
-    change a drift.
+    an all-batch loop).
     """
     x = np.asarray(x0_batch, dtype=float)
     if x.ndim != 2 or x.shape[1] != 4:
@@ -577,9 +586,7 @@ def conservation_drift(
     b, c = np.asarray(params.b, dtype=float), np.asarray(params.c, dtype=float)
 
     def rates(y):
-        denom, *numerators = _field_components(*y, b, c, _ARRAY_CONSTS)
-        field = np.array(numerators)
-        return np.divide(field, denom, out=field)
+        return _field_array(y, b, c)
 
     drift1 = np.zeros(x.shape[0])
     drift2 = np.zeros(x.shape[0])

@@ -13,14 +13,13 @@ import numpy as np
 
 from .chain import TransitionMatrix, build_matrix_direct, stationary
 from .errors import SingularPayoffError
-from .strategy import PayoffParams, Strategy, decode_history, raw_from_donation
+from .strategy import PayoffParams, Strategy
 
 __all__ = [
     "build_payoff_vector",
     "payoff_by_stationary",
     "payoff_by_determinant",
     "reversal_identity_check",
-    "check_well_defined",
 ]
 
 
@@ -96,45 +95,3 @@ def reversal_identity_check(params: PayoffParams, memory: int):
     """
     holds = _reversal_gap(_exact_payoff_vector(params, memory), params) == 0
     return holds, params.r + params.p
-
-
-def check_well_defined(
-    params: PayoffParams,
-    memory: int,
-    a: float = 0.0,
-    _follower_d_offset: float = 0.0,
-) -> bool:
-    """Leader and follower accumulate identical winnings per shared word.
-
-    Reconstructs, from the per-choice payoffs, the total winnings each player
-    attributes to a 2N-symbol conditioning word: the odd positions are the
-    player's own choices (each yields a or c to itself) and the even positions
-    are the co-player's (each grants b or d). As written, both loops add the
-    same terms in the same order, so the check returns False only through
-    _follower_d_offset, a hook for tests; a check with teeth needs the
-    paper's definition of the follower's word.
-    """
-    raw = raw_from_donation(params, a)
-    n = 4**memory
-    leader = np.empty(n)
-    follower = np.empty(n)
-    for index in range(n):
-        bits = [symbol == "D" for symbol in decode_history(index, memory).word]
-        # Leader's word: rounds oldest first, own choice then the reply.
-        total = 0.0
-        for k in range(memory):
-            own, other = bits[2 * k], bits[2 * k + 1]
-            total += raw.a if own == 0 else raw.c
-            total += raw.b if other == 0 else raw.d
-        leader[index] = total
-        # Follower's word: own oldest choice, then leader/own pairs, then the
-        # leader's fresh choice; slots alternate own, leader, own, leader, ...
-        total = 0.0
-        d_here = raw.d + _follower_d_offset
-        for pos, bit in enumerate(bits):
-            if pos % 2 == 0:
-                total += raw.a if bit == 0 else raw.c
-            else:
-                total += raw.b if bit == 0 else d_here
-        follower[index] = total
-    return bool(np.array_equal(leader, follower))

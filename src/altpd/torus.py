@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _DENOMINATOR_TOL, _field_scalar, _levels, _march
+from .dynamics import _field_scalar, _levels, _march
 from .errors import (
     DegenerateTorusError,
     FieldSingularError,
@@ -169,28 +169,24 @@ def _angle_rates(phi, psi, u, v, b, c):
 
     Maps the angles to the cube, evaluates the scalar memory-1 kernel
     there and pushes the field forward. Raises ToricDenominatorError where
-    the cube denominator A falls below 1e-14 in magnitude. The toric
-    denominator is G = 4 A / (C1 C2) with C1, C2 <= 2, so |A| <= |G| and
-    this guard covers every point where |G| < 1e-14 as well.
+    the kernel refuses the cube point. The toric denominator is
+    G = 4 A / (C1 C2) for the cube denominator A, with C1, C2 <= 2, so
+    |A| <= |G| and the refusal covers every point where |G| < 1e-14.
     """
     s1, c1 = math.sin(phi), math.cos(phi)
     s2, c2 = math.sin(psi), math.cos(psi)
     try:
-        denom, g1, g2, g3, g4 = _field_scalar(
-            1.0 + u * s1, 1.0 + v * s2, u * c1, v * c2, b, c
-        )
+        g1, g2, g3, g4 = _field_scalar(1.0 + u * s1, 1.0 + v * s2, u * c1, v * c2, b, c)
     except FieldSingularError:
         raise ToricDenominatorError("toric denominator vanishes") from None
-    if abs(denom) < _DENOMINATOR_TOL:
-        raise ToricDenominatorError("toric denominator vanishes")
     return (c1 * g1 - s1 * g3) / u, (c2 * g2 - s2 * g4) / v
 
 
 def torus_field(pt: TorusPoint, params: PayoffParams) -> tuple:
     """(phi_dot, psi_dot): pushforward of the cube field to the angles.
 
-    Raises ToricDenominatorError where the cube denominator vanishes, which
-    includes every point where the toric denominator does.
+    Raises ToricDenominatorError where the field kernel refuses the cube
+    point, which includes every point where the toric denominator vanishes.
     """
     return _angle_rates(
         pt.phi, pt.psi, math.sqrt(pt.level.c1), math.sqrt(pt.level.c2),

@@ -10,7 +10,8 @@ from altpd.dynamics import (
     _BOUNDARY_HI,
     _BOUNDARY_LO,
     _DRIFT_SCALAR_ROWS,
-    _field_raw,
+    _field_array,
+    _field_components,
     _field_scalar,
     _interior,
     _march,
@@ -27,8 +28,9 @@ from altpd.dynamics import (
     plane_eigenvalues,
     win_loss_exchange,
 )
-from altpd.errors import FieldSingularError, NotAnEquilibriumError
+from altpd.errors import FieldSingularError, NotAnEquilibriumError, ToricDenominatorError
 from altpd.strategy import PayoffParams
+from altpd.torus import to_torus, torus_field
 
 RNG = np.random.default_rng(0)
 PARAMS = PayoffParams(b=1.0, c=0.3)
@@ -37,6 +39,9 @@ PARAMS = PayoffParams(b=1.0, c=0.3)
 PLANE_POINT = np.array([0.71, 0.5, 0.41, 0.2])
 # Same family continued past the p1 = 1 face: a degenerate source.
 EXTERIOR_POINT = np.array([1.02, 0.9, 0.42, 0.3])
+# Inside the cube near the cooperation corner, where the field's
+# denominator is -1.04e-17: nonzero, but refused by the 1e-14 rule.
+NEAR_POLE = np.array([0.99975, 0.99975, 1.6e-4, 7.6e-5])
 
 
 def _reversal(v):
@@ -184,10 +189,19 @@ def _components_as_written(x1, x2, x3, x4, b, c):
     )
 
 
+def _refused(denom):
+    """The singularity rule: |A| < 1e-14 or A not finite (the real part
+    of a complex-step denominator)."""
+    size = np.abs(np.real(denom))
+    return ~((size >= 1e-14) & (size < np.inf))
+
+
 def _field_raw_as_written(x, b, c):
-    """(denom, field) on arrays from the written-out components."""
+    """(denom, field) on arrays from the written-out components, the field
+    NaN wherever the rule refuses the denominator."""
     denom, *numerators = _components_as_written(*(x[..., i] for i in range(4)), b, c)
-    return denom, np.stack(numerators, axis=-1) / denom[..., np.newaxis]
+    marked = np.where(_refused(denom), np.nan, denom)
+    return denom, np.stack(numerators, axis=-1) / marked[..., np.newaxis]
 
 
 def _rates_as_written(y):
@@ -195,12 +209,12 @@ def _rates_as_written(y):
 
 
 def _field_scalar_as_written(x1, x2, x3, x4, b, c):
-    """The written-out field on floats; None where the denominator is
-    exactly zero."""
+    """The written-out field on floats; None where the rule refuses the
+    denominator."""
     denom, *numerators = _components_as_written(x1, x2, x3, x4, b, c)
-    if denom == 0.0:
+    if _refused(denom):
         return None
-    return (denom, *(n / denom for n in numerators))
+    return tuple(n / denom for n in numerators)
 
 
 def _complex_steps(x):
@@ -223,14 +237,16 @@ def test_array_kernel_matches_the_written_out_field_bit_for_bit():
     x = _kernel_points(31, 100_000)
 
     def check(y):
-        got = _field_raw(y, PARAMS.b, PARAMS.c)
+        got = np.moveaxis(_field_array(np.moveaxis(y, -1, 0), PARAMS.b, PARAMS.c), 0, -1)
         want = _field_raw_as_written(y, PARAMS.b, PARAMS.c)
-        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        assert np.array_equal(np.isnan(got).any(axis=-1), _refused(want[0]))
+        assert _same_bits(got, want[1])
 
     with np.errstate(all="ignore"):
         check(x)
         rows = x[-5001:]
-        assert np.count_nonzero(np.abs(_field_raw(rows, PARAMS.b, PARAMS.c)[0]) < 1e-12) >= 50
+        denom = _field_raw_as_written(rows, PARAMS.b, PARAMS.c)[0]
+        assert np.count_nonzero(np.abs(denom) < 1e-12) >= 50
         for row in rows:
             for y in [row, *_complex_steps(row)]:
                 check(y)
@@ -239,9 +255,8 @@ def test_array_kernel_matches_the_written_out_field_bit_for_bit():
 def test_single_state_field_matches_its_batch_row_bit_for_bit():
     # A single state takes the scalar kernel, a batch the array kernel.
     x = _kernel_points(32, 100_000)
-    with np.errstate(all="ignore"):
-        denom, batch = _field_raw(x, PARAMS.b, PARAMS.c)
-    regular = np.abs(denom) >= 1e-14
+    batch = _field_array(x.T, PARAMS.b, PARAMS.c).T
+    regular = ~np.isnan(batch).any(axis=1)
     got = np.array([field_closed_form(row, PARAMS) for row in x[regular]])
     assert _same_bits(got, batch[regular])
     assert np.count_nonzero(~regular) >= 1
@@ -546,6 +561,49 @@ def test_scalar_kernel_names_exact_zero_and_overflow():
         _field_scalar(math.nan, 0.5, 0.5, 0.5, 1.0, 0.3)
     with pytest.raises(FieldSingularError):
         field_closed_form([1e200, 0.5, 0.5, 0.5], PARAMS)
+
+
+def test_every_entry_point_refuses_a_state_below_the_threshold():
+    denom = _components_as_written(*NEAR_POLE.tolist(), PARAMS.b, PARAMS.c)[0]
+    assert 0.0 < abs(denom) < 1e-14
+    with pytest.raises(FieldSingularError):
+        field_closed_form(NEAR_POLE, PARAMS)
+    with pytest.raises(FieldSingularError):
+        field_closed_form(np.stack([PLANE_POINT, NEAR_POLE]), PARAMS)
+    with pytest.raises(FieldSingularError):
+        jacobian(NEAR_POLE, PARAMS)
+    with pytest.raises(ToricDenominatorError):
+        torus_field(to_torus(NEAR_POLE), PARAMS)
+
+
+@pytest.mark.parametrize("stage", [2, 3, 4])
+def test_rk4_halts_when_a_later_stage_is_refused(stage, monkeypatch):
+    # No start is known whose first stage passes and a later one lands
+    # below the threshold, so that stage is moved to NEAR_POLE.
+    calls = 0
+
+    def moved(x1, x2, x3, x4, b, c, consts):
+        nonlocal calls
+        calls += 1
+        if calls == stage:
+            x1, x2, x3, x4 = NEAR_POLE.tolist()
+        return _field_components(x1, x2, x3, x4, b, c, consts)
+
+    monkeypatch.setattr("altpd.dynamics._field_components", moved)
+    x0 = np.array([0.62, 0.35, 0.3, 0.45])
+    trajectory = integrate(x0, PARAMS, 1.0, dt=1e-2)
+    assert trajectory.status == "singular"
+    assert np.array_equal(trajectory.states, [x0])
+
+
+def test_drift_of_a_refused_row_does_not_depend_on_its_batch():
+    # Alone the row runs on the scalar route, as one of 33 on the block.
+    rows = 33
+    assert rows > _DRIFT_SCALAR_ROWS
+    alone = conservation_drift(NEAR_POLE[np.newaxis], PARAMS, 0.05)
+    shared = conservation_drift(np.tile(NEAR_POLE, (rows, 1)), PARAMS, 0.05)
+    for one, many in zip(alone, shared):
+        assert np.array_equal(many, np.full(rows, one[0]))
 
 
 def test_nan_state_is_not_interior():

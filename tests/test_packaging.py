@@ -53,6 +53,29 @@ def test_every_import_is_stdlib_altpd_or_declared():
     assert undeclared == []
 
 
+def _reads_of(name, path):
+    """(file, enclosing top-level function or None) of every read of name:
+    a load, an attribute or an import of it."""
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            read = (
+                (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+            )
+            if read:
+                yield path.name, owner
+
+
+def test_only_the_field_kernels_read_the_singularity_threshold():
+    # The memory-1 singularity rule is applied by dynamics' two kernel
+    # entry points, and every route obeys them; a comparison anywhere else
+    # would let routes disagree on which points are singular.
+    readers = {reader for path in SOURCES for reader in _reads_of("_DENOMINATOR_TOL", path)}
+    assert readers == {("dynamics.py", "_field_scalar"), ("dynamics.py", "_field_array")}
+
+
 def _public_modules():
     """Every module whose __all__ the package exports (all but cli)."""
     return [
@@ -101,7 +124,7 @@ print(json.dumps({"bound": bound, "all": altpd.__all__, "missing": missing}))
 """
     seen = json.loads(_run_fresh(probe))
     public = [name for module in _public_modules() for name in module.__all__]
-    assert len(public) == 73
+    assert len(public) == 72
     assert seen["all"] == public == altpd.__all__
     assert seen["bound"] == sorted(public)
     assert seen["missing"] == "module 'altpd' has no attribute 'no_such_name'"

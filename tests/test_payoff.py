@@ -1,18 +1,27 @@
 """Payoff vectors and the two payoff routes."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from altpd.chain import build_matrix_direct
 from altpd.errors import SingularPayoffError
 from altpd.payoff import (
+    _exact_payoff_vector,
     build_payoff_vector,
-    check_well_defined,
     payoff_by_determinant,
     payoff_by_stationary,
     reversal_identity_check,
 )
-from altpd.strategy import PayoffParams, Strategy, all_c, all_d, random_strategy
+from altpd.strategy import (
+    PayoffParams,
+    Strategy,
+    all_c,
+    all_d,
+    decode_history,
+    random_strategy,
+)
 
 RNG = np.random.default_rng(0)
 PARAMS = PayoffParams(b=1.0, c=0.3)
@@ -47,12 +56,30 @@ def test_reversal_identity_exact():
     assert np.allclose(-f + 0.7, f[::-1])
 
 
-def test_well_defined_both_seats():
-    for memory in (1, 2):
-        assert check_well_defined(PARAMS, memory)
-        assert check_well_defined(PARAMS, memory, a=1.5)
-    # Breaking the follower's defection payoff must be detected.
-    assert not check_well_defined(PARAMS, 1, _follower_d_offset=0.1)
+def _payoff_vector_by_rounds(params, memory):
+    """f[h] read off the word of history h, in exact rationals.
+
+    Each round is the leader's choice then the follower's reply; the
+    leader pays c for each of its own cooperations and gains b from each
+    of the follower's. f[h] is the mean over the N rounds.
+    """
+    b, c = Fraction(params.b), Fraction(params.c)
+    f = []
+    for index in range(4**memory):
+        word = decode_history(index, memory).word
+        rounds = [word[k : k + 2] for k in range(0, len(word), 2)]
+        total = sum((b if reply == "C" else 0) - (c if own == "C" else 0) for own, reply in rounds)
+        f.append(total / memory)
+    return f
+
+
+@pytest.mark.parametrize("params", [PARAMS, PayoffParams(b=2.0, c=1.5)])
+@pytest.mark.parametrize("memory", [1, 2, 3])
+def test_payoff_vector_is_the_mean_payoff_of_the_remembered_rounds(params, memory):
+    by_rounds = _payoff_vector_by_rounds(params, memory)
+    assert list(_exact_payoff_vector(params, memory)) == by_rounds
+    want = np.array([float(v) for v in by_rounds])
+    assert np.max(np.abs(build_payoff_vector(params, memory) - want)) <= 4 * np.finfo(float).eps
 
 
 # ---- payoff routes ----
