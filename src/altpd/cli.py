@@ -104,8 +104,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config_file(path: str) -> dict:
-    """Flat key-value config: one `name = value` (or `name value`) per line,
-    names matching the long flags, `#` starts a comment."""
+    """Flat key-value config: one `name = value` (or `name value`, split at
+    any whitespace) per line, names matching the long flags, `#` starts a
+    comment."""
     types = {f.name: f.type for f in _OPTIONS}
     values = {}
     try:
@@ -119,7 +120,7 @@ def _read_config_file(path: str) -> dict:
         if "=" in line:
             key, _, value = line.partition("=")
         else:
-            key, _, value = line.partition(" ")
+            key, value = (line.split(None, 1) + [""])[:2]
         key = key.strip().lstrip("-").replace("-", "_")
         if key not in types:
             raise ValueError(f"unknown config key: {key}")

@@ -8,11 +8,11 @@ memory it is obtained by finite differences of the determinant payoff.
 
 The memory-1 field is singular where its common denominator A vanishes,
 which happens on and just past the cube's faces. One rule decides it: a
-point with |A| < 1e-14, or with A not finite, is refused. The two kernel
-entry points apply it, _field_scalar by raising FieldSingularError and
-_field_array by returning NaN, and every route obeys them: a single-state
-or batch field raises, an integrator halts "singular", and a drift row
-freezes.
+point with abs(A) < 1e-14 (the modulus on the Jacobian's complex-step
+input), or with A not finite, is refused. The two kernel entry points
+apply it, _field_scalar by raising FieldSingularError and _field_array by
+returning NaN, and every route obeys them: the field, the Jacobian and the
+torus field raise, an integrator halts "singular", and a drift row freezes.
 
 Memory-1 trajectories conserve (x1-1)^2 + x3^2 and (x2-1)^2 + x4^2, so the
 flow lives on two-dimensional tori inside the cube.
@@ -78,7 +78,6 @@ _DRIFT_BUFFER = 1 << 15
 _DRIFT_CHUNK = 4096
 # Dormand-Prince 5(4) tableau (Dormand & Prince 1980) and scipy's RK45
 # step-size controller constants.
-_DP_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
 _DP_A = np.array(
     [
         [0, 0, 0, 0, 0],
@@ -102,11 +101,11 @@ _DP_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
 def _field_components(x1, x2, x3, x4, b, c, consts):
     """Common denominator and the four numerators of the memory-1 field.
 
-    Pure arithmetic, so the inputs may be floats, arrays, or complex
-    (complex inputs carry derivative information for the complex step).
-    consts holds the constants (1, 2, -2) in the caller's type, and b and c
-    take that type too: Python floats for a point given as floats (the
-    scalar path), 0-d float arrays for numpy inputs (_field_array). Either
+    Pure arithmetic, so the inputs may be Python floats or complex numbers
+    (complex ones carry the derivative for the complex step) or real
+    arrays. consts holds the constants (1, 2, -2) in the caller's type, and
+    b and c take that type too: Python floats for the scalar path, 0-d
+    float arrays for numpy inputs (_field_array). Either
     gives the same bits; on 64-row arrays numpy combines an array with a
     0-d array in about half the time it takes to convert a Python number.
     Each repeated subexpression is computed once, as the same expression
@@ -157,12 +156,13 @@ def _field_components(x1, x2, x3, x4, b, c, consts):
 
 
 def _field_scalar(x1, x2, x3, x4, b, c):
-    """Memory-1 field (g1, g2, g3, g4) at one point given as plain floats.
+    """Memory-1 field (g1, g2, g3, g4) at one point given as Python numbers.
 
     Applies the singularity rule: raises FieldSingularError where the
-    common denominator A has |A| < 1e-14 or is not finite. It takes the
-    operations of _field_array in the same order, so the two agree bit for
-    bit wherever neither refuses.
+    common denominator A has abs(A) < 1e-14 (the modulus on jacobian's
+    complex input) or is not finite. It takes the operations of
+    _field_array in the same order, so the two agree bit for bit wherever
+    neither refuses.
     """
     denom, n1, n2, n3, n4 = _field_components(x1, x2, x3, x4, b, c, _CONSTS)
     if not _DENOMINATOR_TOL <= abs(denom) < math.inf:
@@ -171,17 +171,16 @@ def _field_scalar(x1, x2, x3, x4, b, c):
 
 
 def _field_array(y, b, c):
-    """Memory-1 field on coordinate-first arrays y of shape (4, ...).
+    """Memory-1 field on real coordinate-first arrays y of shape (4, ...).
 
     Applies the singularity rule of _field_scalar point by point and
-    returns the field with NaN in every column it refuses; on complex-step
-    input the rule reads the real part of A, which is A at the real point.
-    b and c may be floats or 0-d float arrays (see _field_components).
+    returns the field with NaN in every column it refuses. b and c may be
+    floats or 0-d float arrays (see _field_components).
     """
     denom, *numerators = _field_components(
         *(y[i, ...] for i in range(4)), b, c, _ARRAY_CONSTS
     )
-    size = np.abs(denom.real)
+    size = np.abs(denom)
     denom = np.where((size >= _DENOMINATOR_TOL) & (size < math.inf), denom, math.nan)
     field = np.array(numerators)
     return np.divide(field, denom, out=field)
@@ -206,6 +205,18 @@ def field_closed_form(x, params: PayoffParams) -> np.ndarray:
     return field
 
 
+def _central_differences(f, x, h):
+    """(f(x + h e_j) - f(x - h e_j)) / 2h for each coordinate j of x,
+    stacked along a new first axis."""
+    rows = []
+    for j in range(x.size):
+        hi, lo = x.copy(), x.copy()
+        hi[j] += h
+        lo[j] -= h
+        rows.append((f(hi) - f(lo)) / (2.0 * h))
+    return np.array(rows)
+
+
 def field_numeric(x, params: PayoffParams) -> np.ndarray:
     """Field for any memory: central differences of the determinant payoff.
 
@@ -219,50 +230,30 @@ def field_numeric(x, params: PayoffParams) -> np.ndarray:
     if np.any(x <= h) or np.any(x >= 1.0 - h):
         raise ValueError("state must lie in (h, 1-h) for the stencil")
     follower = Strategy(tuple(x))
-    out = np.empty(x.size)
-    for i in range(x.size):
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += h
-        lo[i] -= h
-        a_hi = payoff_by_determinant(Strategy(tuple(hi)), follower, params)
-        a_lo = payoff_by_determinant(Strategy(tuple(lo)), follower, params)
-        out[i] = (a_hi - a_lo) / (2.0 * h)
-    return out
+    return _central_differences(
+        lambda y: payoff_by_determinant(Strategy(tuple(y)), follower, params), x, h
+    )
 
 
 def jacobian(x, params: PayoffParams) -> np.ndarray:
     """Jacobian of the field at x.
 
-    At memory 1 the closed form is differentiated through complex
-    arguments, which is exact to roundoff for a rational field and is the
-    only scheme accurate enough to certify eigenvalues at the 1e-8 scale.
-    At general memory it takes central differences (step 1e-5) of
+    At memory 1, column j is the complex step of the closed form: the
+    imaginary part of _field_scalar at x + 1e-20i e_j (Python complex
+    numbers) over 1e-20. It is exact to roundoff for a rational field and
+    the only scheme accurate enough to certify eigenvalues at the 1e-8
+    scale. At general memory it takes central differences (step 1e-5) of
     field_numeric.
     """
     x = np.asarray(x, dtype=float)
-    d = x.size
-    if d == 4:
-        jac = np.empty((4, 4))
-        for j in range(4):
-            xc = x.astype(complex)
-            xc[j] += 1j * _COMPLEX_STEP
-            with np.errstate(invalid="ignore"):
-                field = _field_array(xc, params.b, params.c)
-            if np.isnan(field).any():
-                raise FieldSingularError("field denominator vanishes or is not finite")
-            jac[:, j] = field.imag / _COMPLEX_STEP
-        return jac
-    jac = np.empty((d, d))
-    for j in range(d):
-        hi = x.copy()
-        lo = x.copy()
-        hi[j] += _JACOBIAN_STEP
-        lo[j] -= _JACOBIAN_STEP
-        jac[:, j] = (field_numeric(hi, params) - field_numeric(lo, params)) / (
-            2.0 * _JACOBIAN_STEP
-        )
-    return jac
+    if x.size != 4:
+        return _central_differences(lambda y: field_numeric(y, params), x, _JACOBIAN_STEP).T
+    rows = []
+    for j in range(4):
+        point = x.tolist()
+        point[j] = complex(point[j], _COMPLEX_STEP)
+        rows.append([g.imag / _COMPLEX_STEP for g in _field_scalar(*point, params.b, params.c)])
+    return np.array(rows).T
 
 
 @dataclass(frozen=True)
@@ -306,9 +297,10 @@ class Trajectory:
 
     status is "completed" (reached the final time), "boundary" (a
     coordinate left [1e-9, 1-1e-9]; the exiting state is not recorded), or
-    "singular" (the memory-1 field kernel refused a stage point, a
-    memory-N stage left the stencil's room, or the rk45 step size fell
-    below its minimum; the record up to the last good step).
+    "singular" (the memory-1 field kernel refused a stage point with
+    FieldSingularError, as torus_trajectory halts; a memory-N stage left
+    the stencil's room; or the rk45 step size fell below its minimum; the
+    record up to the last good step).
     """
 
     times: np.ndarray
@@ -402,16 +394,6 @@ def _march(step, y0, n_steps, dt, caught, inside):
     return np.arange(len(states)) * dt, np.asarray(states, dtype=float), status
 
 
-def _integrate_rk4(x0, params, n_steps, dt):
-    if x0.size == 4:
-        y0, step, caught = tuple(x0.tolist()), _cube_step(params), FieldSingularError
-    else:
-        # field_numeric raises ValueError once a stage leaves its stencil room.
-        y0, caught = x0.copy(), (FieldSingularError, ValueError)
-        step = partial(_rk4_step, lambda y: field_numeric(y, params))
-    return Trajectory(*_march(step, y0, n_steps, dt, caught, _interior))
-
-
 def _rms(x):
     return np.linalg.norm(x) / x.size**0.5
 
@@ -423,7 +405,7 @@ def _dp45_first_step(f, y0, f0, t_final, rtol, atol):
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_final)
-    f1 = f(h0, y0 + h0 * f0)
+    f1 = f(y0 + h0 * f0)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -441,7 +423,7 @@ def _dp45(f, y0, t_final, rtol, atol, caught):
     solution (local extrapolation), the RMS norm of the embedded error
     estimate, and the controller h *= SAFETY * err**(-1/5) clipped to
     [MIN_FACTOR, MAX_FACTOR], with no growth on the step after a
-    rejection. f(t, y) is the right-hand side.
+    rejection. f(y) is the right-hand side, which here does not depend on t.
 
     Every accepted state is recorded. The loop halts with "singular" when
     f raises one of `caught` or the step falls below 10 ulps of t, and
@@ -454,7 +436,7 @@ def _dp45(f, y0, t_final, rtol, atol, caught):
     times, states = [t], [y]
     stages = np.empty((_DP_A.shape[0] + 1, y0.size))
     try:
-        fy = f(t, y)
+        fy = f(y)
         h_abs = _dp45_first_step(f, y, fy, t_final, rtol, atol)
         while True:
             min_step = 10 * (np.nextafter(t, np.inf) - t)
@@ -467,9 +449,9 @@ def _dp45(f, y0, t_final, rtol, atol, caught):
                 stages[0] = fy
                 for s in range(1, _DP_A.shape[0]):
                     dy = np.dot(stages[:s].T, _DP_A[s, :s]) * h
-                    stages[s] = f(t + _DP_C[s] * h, y + dy)
+                    stages[s] = f(y + dy)
                 y_new = y + h * np.dot(stages[:-1].T, _DP_B)
-                f_new = f(t_new, y_new)
+                f_new = f(y_new)
                 stages[-1] = f_new
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
                 error = _rms(np.dot(stages.T, _DP_E) * h / scale)
@@ -499,15 +481,6 @@ def _dp45(f, y0, t_final, rtol, atol, caught):
     return np.asarray(times), np.asarray(states), status
 
 
-def _integrate_rk45(x0, params, t_final):
-    def rhs(_t, y):
-        return field_closed_form(y, params) if y.size == 4 else field_numeric(y, params)
-
-    # field_numeric raises ValueError once a stage leaves its stencil room.
-    caught = FieldSingularError if x0.size == 4 else (FieldSingularError, ValueError)
-    return Trajectory(*_dp45(rhs, x0, t_final, 1e-9, 1e-12, caught))
-
-
 def integrate(
     x0, params: PayoffParams, t_final: float, dt: float = 1e-3, method: str = "rk4"
 ) -> Trajectory:
@@ -516,22 +489,29 @@ def integrate(
     "rk4" is fixed-step (every step recorded); "rk45" is adaptive
     Dormand-Prince 5(4) at rtol 1e-9, atol 1e-12 (solver-chosen steps,
     every accepted step recorded), an in-package stepper that follows
-    scipy's RK45 step-size controller step for step.
-    Integration halts, without recording the exiting state, when any
-    coordinate leaves [1e-9, 1-1e-9]: clamping would silently break the
-    conserved quantities; it halts "singular" as Trajectory says.
-    Raises ValueError for a start outside that
-    range, or unless t_final, dt and t_final / dt are finite and positive
-    (for "rk45" too, although it chooses its own steps).
+    scipy's RK45 step-size controller step for step. Integration halts,
+    without recording the exiting state, when any coordinate leaves
+    [1e-9, 1-1e-9] (clamping would silently break the conserved
+    quantities), and halts "singular" as Trajectory says. Raises
+    ValueError for a start outside that range, or unless t_final, dt and
+    t_final / dt are finite and positive (for "rk45" too, although it
+    chooses its own steps).
     """
     x0 = np.asarray(x0, dtype=float)
     if not _interior(x0):
         raise ValueError("initial state must be interior")
     n_steps = _step_count(t_final, dt)  # the step rule, for either method
+    if x0.size == 4:
+        field, caught = field_closed_form, FieldSingularError
+        y0, step = tuple(x0.tolist()), _cube_step(params)
+    else:
+        # field_numeric raises ValueError once a stage leaves its stencil room.
+        field, caught = field_numeric, ValueError
+        y0, step = x0, partial(_rk4_step, lambda y: field_numeric(y, params))
     if method == "rk4":
-        return _integrate_rk4(x0, params, n_steps, dt)
+        return Trajectory(*_march(step, y0, n_steps, dt, caught, _interior))
     if method == "rk45":
-        return _integrate_rk45(x0, params, t_final)
+        return Trajectory(*_dp45(lambda y: field(y, params), x0, t_final, 1e-9, 1e-12, caught))
     raise ValueError("method must be 'rk4' or 'rk45'")
 
 

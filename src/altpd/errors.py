@@ -2,7 +2,9 @@
 
 DegeneracyError marks situations where a quantity is genuinely undefined
 (non-unique stationary distribution, vanishing denominators, degenerate
-tori); the CLI maps it to exit code 2.
+tori); the CLI maps it to exit code 2. The memory-1 field, its Jacobian and
+the torus routes built on it report a refused point one way, with
+FieldSingularError.
 """
 
 __all__ = [
@@ -10,7 +12,6 @@ __all__ = [
     "NonUniqueStationaryError",
     "SingularPayoffError",
     "FieldSingularError",
-    "ToricDenominatorError",
     "DegenerateTorusError",
     "NotAnEquilibriumError",
 ]
@@ -29,11 +30,8 @@ class SingularPayoffError(DegeneracyError):
 
 
 class FieldSingularError(DegeneracyError):
-    """The closed-form field denominator vanishes."""
-
-
-class ToricDenominatorError(DegeneracyError):
-    """The toric field denominator vanishes."""
+    """The memory-1 field kernel refused a point: its common denominator A
+    has abs(A) < 1e-14 or is not finite."""
 
 
 class DegenerateTorusError(DegeneracyError):

@@ -22,11 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _field_scalar, _levels, _march
-from .errors import (
-    DegenerateTorusError,
-    FieldSingularError,
-    ToricDenominatorError,
-)
+from .errors import DegenerateTorusError, FieldSingularError
 from .strategy import PayoffParams, _step_count
 
 __all__ = [
@@ -168,25 +164,23 @@ def _angle_rates(phi, psi, u, v, b, c):
     """(phi_dot, psi_dot) at wrapped angles on the torus of radii (u, v).
 
     Maps the angles to the cube, evaluates the scalar memory-1 kernel
-    there and pushes the field forward. Raises ToricDenominatorError where
-    the kernel refuses the cube point. The toric denominator is
-    G = 4 A / (C1 C2) for the cube denominator A, with C1, C2 <= 2, so
+    there and pushes the field forward. The kernel's FieldSingularError
+    passes through where it refuses the cube point. The toric denominator
+    is G = 4 A / (C1 C2) for the cube denominator A, with C1, C2 <= 2, so
     |A| <= |G| and the refusal covers every point where |G| < 1e-14.
     """
     s1, c1 = math.sin(phi), math.cos(phi)
     s2, c2 = math.sin(psi), math.cos(psi)
-    try:
-        g1, g2, g3, g4 = _field_scalar(1.0 + u * s1, 1.0 + v * s2, u * c1, v * c2, b, c)
-    except FieldSingularError:
-        raise ToricDenominatorError("toric denominator vanishes") from None
+    g1, g2, g3, g4 = _field_scalar(1.0 + u * s1, 1.0 + v * s2, u * c1, v * c2, b, c)
     return (c1 * g1 - s1 * g3) / u, (c2 * g2 - s2 * g4) / v
 
 
 def torus_field(pt: TorusPoint, params: PayoffParams) -> tuple:
     """(phi_dot, psi_dot): pushforward of the cube field to the angles.
 
-    Raises ToricDenominatorError where the field kernel refuses the cube
-    point, which includes every point where the toric denominator vanishes.
+    Raises FieldSingularError where the memory-1 field kernel refuses the
+    cube point, which includes every point where the toric denominator
+    vanishes.
     """
     return _angle_rates(
         pt.phi, pt.psi, math.sqrt(pt.level.c1), math.sqrt(pt.level.c2),
@@ -339,7 +333,7 @@ def torus_equilibria(level: TorusLevel, params: PayoffParams) -> list:
             pt = TorusPoint(phi, psi, level)
             try:
                 f = torus_field(pt, params)
-            except ToricDenominatorError:
+            except FieldSingularError:
                 continue
             if max(abs(f[0]), abs(f[1])) >= _EQUILIBRIUM_FIELD_TOL:
                 continue
@@ -358,8 +352,9 @@ def torus_trajectory(
     """Fixed-step RK4 integration of the reduced field on the angles.
 
     Returns (times, angle array of shape (n, 2), status); status is
-    "singular" if the toric denominator vanished mid-run, else
-    "completed". Angles are left unwrapped so paths are continuous.
+    "singular" if the memory-1 field kernel refused a stage's cube point
+    (as a cube trajectory halts), else "completed". Angles are left
+    unwrapped so paths are continuous.
     Raises ValueError under the same step rule as dynamics.integrate.
     """
     n_steps = _step_count(t_final, dt)
@@ -385,7 +380,7 @@ def torus_trajectory(
         )
 
     return _march(
-        step, (pt.phi, pt.psi), n_steps, dt, ToricDenominatorError, lambda y: True
+        step, (pt.phi, pt.psi), n_steps, dt, FieldSingularError, lambda y: True
     )
 
 
@@ -393,7 +388,8 @@ def field_grid(level: TorusLevel, params: PayoffParams, resolution: int = 40):
     """Reduced field sampled on a regular angle grid over [0, 2pi)^2.
 
     Returns (phi, psi, phi_dot, psi_dot) flat arrays of length
-    resolution^2; samples where the toric denominator vanishes carry NaN.
+    resolution^2; samples the field kernel refuses carry NaN (among them
+    every sample where the toric denominator vanishes).
     """
     ticks = np.linspace(0.0, _TWO_PI, resolution, endpoint=False)
     phi_grid, psi_grid = np.meshgrid(ticks, ticks, indexing="ij")
@@ -405,7 +401,7 @@ def field_grid(level: TorusLevel, params: PayoffParams, resolution: int = 40):
     for i, (ph, ps) in enumerate(zip(phi_flat.tolist(), psi_flat.tolist())):
         try:
             fphi[i], fpsi[i] = _angle_rates(ph, ps, u, v, params.b, params.c)
-        except ToricDenominatorError:
+        except FieldSingularError:
             fphi[i] = fpsi[i] = math.nan
     return phi_flat, psi_flat, fphi, fpsi
 

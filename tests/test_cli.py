@@ -314,6 +314,10 @@ class TestIntegrate:
 class TestTorus:
     # sha256 of `altpd torus` output as recorded when the contour was walked
     # one cell at a time and the angles stepped on the generic tuple RK4.
+    # The levels-below-one fig_equilibria.json digest was re-recorded when
+    # jacobian's complex step moved to Python complex numbers, which moves
+    # its eigenvalues by roundoff (near-zero pair ~1e-16); the
+    # classifications are unchanged.
     @pytest.mark.parametrize(
         "args, digests",
         [
@@ -322,7 +326,7 @@ class TestTorus:
                 {
                     "fig_field.csv": "1d7ae04a8e513801187b3ca25f71041638431a8a1e88359dbe43685a44b244aa",
                     "fig_contour.csv": "67462d876650eebf5f6c6a0c75bee67fe0efb158dd845f948c63556607d613dd",
-                    "fig_equilibria.json": "a4a0363d5850d507744a72cbde275ba203d903cf87b91f88a18023257af75db3",
+                    "fig_equilibria.json": "d82c14ed7353903b98e520135d1548b45e039de232d99fd4676f2c2514ea58df",
                 },
             ),
             (
@@ -460,7 +464,7 @@ class TestVerify:
 class TestConfigAndErrors:
     def test_config_file_merges_and_flags_win(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("c = 0.4\nn 1\nseed = 5  # trailing comment\n")
+        cfg.write_text("c = 0.4\nn 1\nb\t2.0\nseed = 5  # trailing comment\n")
         code, out, _ = run_cli(
             ["matrix", "--config", str(cfg), "--c", "0.45",
              "--p", "allc", "--q", "allc"],
@@ -468,9 +472,10 @@ class TestConfigAndErrors:
         )
         assert code == 0
         doc = json.loads(out)
+        assert doc["config"]["b"] == 2.0
         assert doc["config"]["c"] == 0.45
         assert doc["config"]["seed"] == 5
-        assert doc["payoff_determinant"] == pytest.approx(0.55, abs=1e-12)
+        assert doc["payoff_determinant"] == pytest.approx(1.55, abs=1e-12)
 
     # A config-file value and an overriding flag value for every option.
     OPTION_VALUES = {

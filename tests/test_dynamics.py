@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from altpd.dynamics import (
     plane_eigenvalues,
     win_loss_exchange,
 )
-from altpd.errors import FieldSingularError, NotAnEquilibriumError, ToricDenominatorError
+from altpd.errors import FieldSingularError, NotAnEquilibriumError
 from altpd.strategy import PayoffParams
 from altpd.torus import to_torus, torus_field
 
@@ -190,9 +191,9 @@ def _components_as_written(x1, x2, x3, x4, b, c):
 
 
 def _refused(denom):
-    """The singularity rule: |A| < 1e-14 or A not finite (the real part
-    of a complex-step denominator)."""
-    size = np.abs(np.real(denom))
+    """The singularity rule: abs(A) < 1e-14 or A not finite (abs(A) is the
+    modulus of a complex-step denominator)."""
+    size = np.abs(denom)
     return ~((size >= 1e-14) & (size < np.inf))
 
 
@@ -217,39 +218,28 @@ def _field_scalar_as_written(x1, x2, x3, x4, b, c):
     return tuple(n / denom for n in numerators)
 
 
-def _complex_steps(x):
-    """x with a 1e-20 imaginary step on each coordinate in turn, as
-    jacobian builds its inputs."""
+def _complex_steps(point):
+    """The point (a list of floats) with a 1e-20 imaginary step on each
+    coordinate in turn, in Python complex numbers, as jacobian builds its
+    inputs."""
     for j in range(4):
-        xc = x.astype(complex)
-        xc[..., j] += 1j * 1e-20
-        yield xc
+        stepped = list(point)
+        stepped[j] = complex(stepped[j], 1e-20)
+        yield stepped
 
 
 def test_array_kernel_matches_the_written_out_field_bit_for_bit():
     # The kernel runs on 0-d constants, b and c; the reference on Python
-    # numbers. A real batch as the drift and field_grid pass it, then
-    # single states, real and complex-step, as field_closed_form and
-    # jacobian pass them; near-zero denominators and the exact zero at the
-    # corner included. Complex inputs are checked one state at a time only:
-    # on long complex batches numpy's fused complex multiply makes the bits
-    # depend on operand order, which temporary elision may swap.
+    # numbers. A real batch as the drift and field_closed_form pass it
+    # (the kernel's only input), near-zero denominators and the exact zero
+    # at the corner included.
     x = _kernel_points(31, 100_000)
-
-    def check(y):
-        got = np.moveaxis(_field_array(np.moveaxis(y, -1, 0), PARAMS.b, PARAMS.c), 0, -1)
-        want = _field_raw_as_written(y, PARAMS.b, PARAMS.c)
-        assert np.array_equal(np.isnan(got).any(axis=-1), _refused(want[0]))
-        assert _same_bits(got, want[1])
-
     with np.errstate(all="ignore"):
-        check(x)
-        rows = x[-5001:]
-        denom = _field_raw_as_written(rows, PARAMS.b, PARAMS.c)[0]
-        assert np.count_nonzero(np.abs(denom) < 1e-12) >= 50
-        for row in rows:
-            for y in [row, *_complex_steps(row)]:
-                check(y)
+        got = _field_array(x.T, PARAMS.b, PARAMS.c).T
+        denom, want = _field_raw_as_written(x, PARAMS.b, PARAMS.c)
+    assert np.count_nonzero(np.abs(denom) < 1e-12) >= 50
+    assert np.array_equal(np.isnan(got).any(axis=-1), _refused(denom))
+    assert _same_bits(got, want)
 
 
 def test_single_state_field_matches_its_batch_row_bit_for_bit():
@@ -266,17 +256,27 @@ def test_single_state_field_matches_its_batch_row_bit_for_bit():
 
 
 def test_scalar_kernel_matches_the_written_out_field_bit_for_bit():
-    zeros = 0
-    for point in _kernel_points(31, 100_000).tolist():
-        expected = _field_scalar_as_written(*point, PARAMS.b, PARAMS.c)
+    # Real points as every single-state route passes them, then the last
+    # 5,001 with a 1e-20 imaginary step on each coordinate in turn, as
+    # jacobian passes them; near-zero denominators and the exact zero at
+    # the corner included.
+    def bits(values):
+        return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+    points = _kernel_points(31, 100_000).tolist()
+    refused = Counter()
+    for state in points + [s for p in points[-5001:] for s in _complex_steps(p)]:
+        kind = type(sum(state))
+        expected = _field_scalar_as_written(*state, PARAMS.b, PARAMS.c)
         if expected is None:
-            zeros += 1
+            refused[kind] += 1
             with pytest.raises(FieldSingularError):
-                _field_scalar(*point, PARAMS.b, PARAMS.c)
+                _field_scalar(*state, PARAMS.b, PARAMS.c)
             continue
-        got = _field_scalar(*point, PARAMS.b, PARAMS.c)
-        assert [v.hex() for v in got] == [v.hex() for v in expected]
-    assert zeros >= 1
+        got = _field_scalar(*state, PARAMS.b, PARAMS.c)
+        assert all(type(v) is kind for v in got)
+        assert bits(got) == bits(expected)
+    assert refused[float] >= 1 and refused[complex] >= 4
 
 
 # ---- invariants ----
@@ -572,7 +572,7 @@ def test_every_entry_point_refuses_a_state_below_the_threshold():
         field_closed_form(np.stack([PLANE_POINT, NEAR_POLE]), PARAMS)
     with pytest.raises(FieldSingularError):
         jacobian(NEAR_POLE, PARAMS)
-    with pytest.raises(ToricDenominatorError):
+    with pytest.raises(FieldSingularError):
         torus_field(to_torus(NEAR_POLE), PARAMS)
 
 

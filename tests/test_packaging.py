@@ -76,6 +76,14 @@ def test_only_the_field_kernels_read_the_singularity_threshold():
     assert readers == {("dynamics.py", "_field_scalar"), ("dynamics.py", "_field_array")}
 
 
+def test_only_real_batches_reach_the_array_kernel():
+    # jacobian takes its complex step on the scalar kernel; the array
+    # kernel serves only field_closed_form batches and the drift block, so
+    # complex input cannot come back to it.
+    callers = {reader for path in SOURCES for reader in _reads_of("_field_array", path)}
+    assert callers == {("dynamics.py", "field_closed_form"), ("dynamics.py", "conservation_drift")}
+
+
 def _public_modules():
     """Every module whose __all__ the package exports (all but cli)."""
     return [
@@ -124,7 +132,7 @@ print(json.dumps({"bound": bound, "all": altpd.__all__, "missing": missing}))
 """
     seen = json.loads(_run_fresh(probe))
     public = [name for module in _public_modules() for name in module.__all__]
-    assert len(public) == 72
+    assert len(public) == 71
     assert seen["all"] == public == altpd.__all__
     assert seen["bound"] == sorted(public)
     assert seen["missing"] == "module 'altpd' has no attribute 'no_such_name'"

@@ -14,11 +14,7 @@ from altpd.dynamics import (
     interior_plane_point,
     invariants,
 )
-from altpd.errors import (
-    DegenerateTorusError,
-    FieldSingularError,
-    ToricDenominatorError,
-)
+from altpd.errors import DegenerateTorusError, FieldSingularError
 from altpd.strategy import PayoffParams
 from altpd.torus import (
     _angle_rates,
@@ -69,11 +65,8 @@ def reference_rates(phi, psi, level, params):
     """Angle rates through to_cube and field_closed_form on numpy arrays."""
     pt = TorusPoint(phi, psi, level)
     if abs(toric_denominator(pt.phi, pt.psi, level)) < 1e-14:
-        raise ToricDenominatorError("toric denominator vanishes")
-    try:
-        xdot = field_closed_form(to_cube(pt), params)
-    except FieldSingularError:
-        raise ToricDenominatorError("cube denominator vanishes") from None
+        raise FieldSingularError("toric denominator vanishes")
+    xdot = field_closed_form(to_cube(pt), params)
     return np.array(
         [
             (math.cos(pt.phi) * xdot[0] - math.sin(pt.phi) * xdot[2])
@@ -98,7 +91,7 @@ def reference_trajectory(pt, params, t_final, dt):
             k2 = rates(y + 0.5 * dt * k1)
             k3 = rates(y + 0.5 * dt * k2)
             k4 = rates(y + dt * k3)
-        except ToricDenominatorError:
+        except FieldSingularError:
             return np.asarray(path), "singular"
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         path.append(y)
@@ -130,7 +123,7 @@ def tuple_rk4_trajectory(pt, params, t_final, dt):
 
     n_steps = _step_count(t_final, dt)
     return _march(
-        step, (pt.phi, pt.psi), n_steps, dt, ToricDenominatorError, lambda y: True
+        step, (pt.phi, pt.psi), n_steps, dt, FieldSingularError, lambda y: True
     )
 
 
@@ -365,7 +358,7 @@ class TestTorusField:
         # phi = 0 and psi = pi/2 annihilate the squared factor of G.
         level = TorusLevel(0.5, 0.5)
         assert abs(toric_denominator(0.0, math.pi / 2, level)) < 1e-14
-        with pytest.raises(ToricDenominatorError):
+        with pytest.raises(FieldSingularError):
             torus_field(TorusPoint(0.0, math.pi / 2, level), PayoffParams(1.0, 0.3))
 
 
@@ -646,7 +639,7 @@ class TestGridExports:
         for k in range(phi.size):
             try:
                 want[k] = reference_rates(phi[k], psi[k], level, params)
-            except ToricDenominatorError:
+            except FieldSingularError:
                 want[k] = math.nan
         assert np.isnan(want[:, 0]).any()
         assert np.array_equal(f1, want[:, 0], equal_nan=True)
