@@ -6,25 +6,28 @@ the leader's move, history shifts) so its statistics can arbitrate the
 analytic routes. Randomness comes from numpy's PCG64 generator with an
 explicit seed; results are bit-for-bit reproducible per seed.
 
-Each chunk of draws is split into blocks of _BLOCK consecutive rounds and
-played in three stages:
+The burn-in and recorded rounds are one stream of draws, cut into equal
+chunks of at most _CHUNK rounds. Each chunk is split into blocks of
+_BLOCK consecutive rounds and played in three stages:
 
 1. Speculate: every block starts at the chunk's carried state, and all
    blocks step together in numpy, one step per round position.
 2. Repair: a block's true start is the previous block's end. All blocks
-   step again from there, rewriting their records, until every block has
-   met its recorded path. From that round on the two paths share their
-   draws, so they are one path: chains driven by common random numbers
-   coalesce (Propp and Wilson 1996).
-3. Walk: a block whose previous block never met its record starts from
-   the wrong state. In round order, each such stretch is replayed round
-   by round from its true start until a block ends on its record.
+   step again from there, rewriting their records, until at most
+   _STRAGGLERS blocks still differ from their recorded path. A block that
+   has met its record shares its draws with it from that round on, so the
+   two are one path: chains driven by common random numbers coalesce
+   (Propp and Wilson 1996).
+3. Walk: in round order, each straggler is replayed round by round from
+   the round where stage 2 stopped, and on through the following blocks
+   while a block does not end on its record, since the next block was
+   started from that record.
 
 The states are bit-identical to playing the rounds one at a time, for
-every pair: coupling decides only the speed, never the result. Pairs whose
-paths never meet, such as a deterministic memory-2 pair on a cycle, leave
-nearly every block to the walk and run about 1.5x slower than the plain
-round loop would.
+every pair: neither the chunk cuts nor coupling change the result, only
+the speed. Pairs whose paths never meet, such as a deterministic memory-2
+pair on a cycle, leave nearly every block to the walk and run about 1.25x
+slower than the plain round loop would.
 """
 
 from __future__ import annotations
@@ -39,11 +42,20 @@ from .strategy import PayoffParams, Strategy, _shared_memory
 __all__ = ["SimulationResult", "simulate"]
 
 _CHUNK = 1 << 16
-# Rounds per lockstep block. Over 220k rounds of random pairs, 32 leaves
-# about 23k rounds per run to the walk at N = 3 and doubles its time, 128
-# doubles the cost of stage 1 (+20-30% at N = 1 and 2), and 64 walks about
-# 2k rounds at N = 3.
+# Rounds per lockstep block. Over 220k rounds of random pairs, 64 walks
+# about 2.3k rounds per run at N = 3. 32 is about 10% faster at N = 1 but
+# walks about 22k rounds at N = 3 and takes 1.45x as long there; 128
+# doubles the lockstep steps and takes about 1.25x as long at N = 1 and 2.
 _BLOCK = 64
+# Stage 2 stops once at most this many blocks still differ from their
+# record, and the walk finishes them. A lockstep step over a 55k-round
+# chunk costs about as much as 100 walked rounds. At N = 3 a few blocks
+# per chunk never meet their record, and at N = 1 every block meets it
+# within about 10 steps. Over the 12 random pairs of the oracle benchmark,
+# 8 cuts stage 2 from 33, 144 and 254 steps per 220k-round run at N = 1,
+# 2 and 3 to 20, 92 and 235. Values from 2 to 16 run within noise of one
+# another: fewer favour N = 1, more favour N = 3.
+_STRAGGLERS = 8
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,7 @@ def simulate(
     The rounds are evaluated in lockstep blocks repaired by coupling (see
     the module docstring), with the same draws and bit-identical results
     as playing them one at a time; a pair that never couples costs about
-    1.5x the plain loop. rounds, burn_in and seed must be integers
+    1.25x the plain loop. rounds, burn_in and seed must be integers
     (bool is refused), seed non-negative; ValueError otherwise.
     """
     _shared_memory(p, q)
@@ -110,9 +122,8 @@ def simulate(
     rng = np.random.Generator(np.random.PCG64(seed))
     h = int(rng.integers(p.n_states))
     tables = _tables(p, q)
-    h = _run(rng, tables, h, burn_in)
     counts = np.zeros(p.n_states, dtype=np.int64)
-    _run(rng, tables, h, rounds, counts)
+    _run(rng, tables, h, burn_in, rounds, counts)
     state_counts = counts.tolist()
     outcome_counts = [sum(state_counts[o::4]) for o in range(4)]
 
@@ -153,15 +164,19 @@ def _tables(p, q):
     return p.probs, q.probs[x & mask], (x << 1) & mask
 
 
-def _run(rng, tables, h, total, counts=None):
-    # Draws come in chunks of _CHUNK rounds; when recording, each chunk's
-    # states are added to counts.
+def _run(rng, tables, h, burn_in, rounds, counts):
+    # Play burn_in + rounds rounds from h as one stream of draws cut into
+    # equal chunks of at most _CHUNK rounds; the stream does not depend on
+    # where it is cut. Adds each recorded round's state to counts and
+    # returns the state after the last round.
+    total = burn_in + rounds
+    chunks = -(-total // _CHUNK)
     done = 0
-    while done < total:
-        count = min(_CHUNK, total - done)
+    for j in range(1, chunks + 1):
+        count = total * j // chunks - done
         states = _play_chunk(tables, h, rng.random(2 * count))
-        if counts is not None:
-            counts += np.bincount(states, minlength=counts.size)
+        if done + count > burn_in:
+            counts += np.bincount(states[max(burn_in - done, 0) :], minlength=counts.size)
         h = int(states[-1])
         done += count
     return h
@@ -196,43 +211,45 @@ def _play_chunk(tables, h, u):
         s = path[t] = _step(tables, s, draws[t])
 
     # Stage 2: a block's true start is the previous block's end. Re-step
-    # every block from there until each meets its recorded path: from
-    # then on the draws are shared, so the paths are the same.
-    start = np.empty(k, dtype=np.intp)
-    start[0] = h
-    start[1:] = path[-1, :-1]
-    s = start
+    # every block from there, rewriting its record, until at most
+    # _STRAGGLERS blocks still differ from it: a block that meets its
+    # record shares its draws with it from then on, so the paths are the
+    # same.
+    s = np.empty(k, dtype=np.intp)
+    s[0] = h
+    s[1:] = path[-1, :-1]
     for t in range(_BLOCK):
         s = _step(tables, s, draws[t])
-        if np.array_equal(s, path[t]):
-            break
+        behind = s != path[t]
         path[t] = s
+        if np.count_nonzero(behind) <= _STRAGGLERS:
+            break
 
-    # Stage 3: each block's path now runs from start[j], and a block whose
-    # previous block never merged starts from the wrong state. In round
-    # order, replay from the true state until a block ends on its record.
+    # Stage 3: each block's record now follows it from its given start up
+    # to round t, and to its end if it met the record. In round order, walk
+    # each straggler on from round t + 1, and on through the next blocks
+    # while a block does not end where the next one was started.
     states = path.T.reshape(-1)[:rounds]
-    stale = np.flatnonzero(start[1:] != path[-1, :-1]) + 1
+    lists = [table.tolist() for table in tables]
     done = 0
-    for i in (stale * _BLOCK).tolist():
-        if i >= done:
-            done = _walk(tables, u, states, i)
+    for i in (np.flatnonzero(behind) * _BLOCK + t + 1).tolist():
+        if done <= i < rounds:
+            done = _walk(lists, u, states, i)
     return states
 
 
 def _walk(tables, u, states, i):
-    # Replay whole blocks from round i, on the state after round i - 1,
-    # until a block ends in its recorded state. The record is one path on
-    # the same draws, so the replay met it inside the block and the next
-    # block's start is unchanged. Returns the round after the last block
-    # replayed. Only the replayed blocks' draws become lists.
-    lead, follow, succ = (t.tolist() for t in tables)
+    # Replay from round i, on the state after round i - 1, to the end of
+    # its block and on through whole blocks until one ends in its recorded
+    # state, the state the next block was started from. tables are lists;
+    # returns the round after the last one replayed.
+    lead, follow, succ = tables
     first = i
     s = int(states[i - 1])
     new = []
     push = new.append
     while i < states.size:
-        stop = min(i + _BLOCK, states.size)
+        stop = min((i // _BLOCK + 1) * _BLOCK, states.size)
         draws = iter(u[2 * i : 2 * stop].tolist())
         for u0, u1 in zip(draws, draws):
             x = s << 1 if u0 < lead[s] else (s << 1) | 1

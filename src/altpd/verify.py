@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chain import build_matrix_direct, build_matrix_recursive, stationary
-from .dynamics import conservation_drift, integrate
+from .dynamics import conservation_drift, field_closed_form, integrate
 from .oracle import simulate
 from .payoff import (
     _exact_payoff_vector,
@@ -87,11 +87,25 @@ def _check_reversal(memory: int, params: PayoffParams, corrupt: bool) -> CheckRe
     return CheckResult("reversal identity", worst == 0, float(worst), 0.0, detail)
 
 
-def _check_conservation(rng, params: PayoffParams) -> CheckResult:
-    starts = rng.uniform(0.1, 0.9, (10, 4))
+def _check_conservation(starts, params: PayoffParams) -> CheckResult:
     d1, d2 = conservation_drift(starts, params, 20.0)
     worst = float(max(d1.max(), d2.max()))
     return CheckResult("conservation", worst < 1e-8, worst, 1e-8, "T=20, rk4 dt=1e-3")
+
+
+def _check_field_kernels(starts, params: PayoffParams) -> CheckResult:
+    # conservation_drift runs so few rows on the single-state kernel that
+    # no other check reaches the batch kernel; compare the two bit for bit.
+    batch = field_closed_form(starts, params)
+    rows = np.array([field_closed_form(row, params) for row in starts])
+    worst = float(np.max(np.abs(batch - rows)))
+    return CheckResult(
+        "field kernel agreement",
+        bool(np.array_equal(batch, rows)),
+        worst,
+        0.0,
+        "batch against single states",
+    )
 
 
 def _check_symmetry(rng, memory: int, params: PayoffParams) -> CheckResult:
@@ -159,7 +173,9 @@ def run_suite(
         _check_symmetry(rng, memory, params),
     ]
     if memory == 1:
-        checks.append(_check_conservation(rng, params))
+        starts = rng.uniform(0.1, 0.9, (10, 4))
+        checks.append(_check_conservation(starts, params))
+        checks.append(_check_field_kernels(starts, params))
         checks.append(_check_torus(rng, params))
     checks.append(_check_oracle(rng, memory, params))
     return checks

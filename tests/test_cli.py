@@ -410,16 +410,18 @@ class TestVerify:
         assert any("commuting" in line or "torus" in line for line in lines)
         assert err == ""
 
-    # sha256 of `altpd verify` stdout as recorded before the RK4 stages were
-    # written out on named floats; each of these memory-1 seeds compares at
-    # least one torus start. The memory-3 digests were recorded before the
-    # exact payoff vector and the reversal gap were each written once.
+    # sha256 of `altpd verify` stdout. The memory-1 digests were re-recorded
+    # when the field kernel agreement line was added; their other lines are
+    # unchanged since before the RK4 stages were written out on named
+    # floats, and each of these seeds compares at least one torus start.
+    # The memory-3 digests (no memory-1 field checks) were recorded before
+    # the exact payoff vector and the reversal gap were each written once.
     @pytest.mark.parametrize(
         "args, code, digest",
         [
-            ([], 0, "962941a4c4f066f176f95c95b4d589ada42d9593cd7d51deb0559247acbd4377"),
-            (["--n", "1"], 0, "962941a4c4f066f176f95c95b4d589ada42d9593cd7d51deb0559247acbd4377"),
-            (["--seed", "11"], 0, "b6ce02931aa7109d33fd99059f28746180d98f00f304ee0b2b0f2b999dde0444"),
+            ([], 0, "69ae81fbd056ff1c4fbc779efe9b27df731a9fb4e5f5c40a24c89be1c9f75d1e"),
+            (["--n", "1"], 0, "69ae81fbd056ff1c4fbc779efe9b27df731a9fb4e5f5c40a24c89be1c9f75d1e"),
+            (["--seed", "11"], 0, "4836b4b5bdb12183d42a5d454720413275c45f72a69203fc083b9eca75effed1"),
             (["--n", "3", "--seed", "5"], 0, "7a0cf7742f1e290acb0fd699e239340295489ee88e67d71a3445eefc0fe9f389"),
             (["--n", "3", "--corrupt-payoff"], 1, "de8a3834959dd5e430ca2c2db4244359a0adf03434fb903eb5b756f2856688a0"),
         ],

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altpd.chain import build_matrix_direct, stationary
-from altpd.oracle import _CHUNK, _play_chunk, _run, _tables, simulate
+import altpd.oracle
+from altpd.oracle import _BLOCK, _CHUNK, _play_chunk, _run, _tables, simulate
 from altpd.payoff import payoff_by_stationary
 from altpd.strategy import (
     PayoffParams,
@@ -187,9 +188,50 @@ def test_never_coupling_pairs_match_the_bit_arithmetic_loop(p, q, start):
     state_counts, _ = _bit_loop(p, q, 130_001, 7, 5, start=start, path=path)
     rng = np.random.Generator(np.random.PCG64(5))
     counts = np.zeros(p.n_states, dtype=np.int64)
-    h = _run(rng, tables, _run(rng, tables, start, 7), 130_001, counts)
+    h = _run(rng, tables, start, 7, 130_001, counts)
     assert counts.tolist() == state_counts
     assert h == path[-1]
+
+
+def test_stage_two_hands_its_stragglers_to_the_walk(monkeypatch):
+    # A slowly coupling memory-3 pair: stage 2 stops with a few blocks
+    # still off their record, and the walk finishes each from that round.
+    rng = np.random.default_rng(4)
+    p, q = random_strategy(3, rng), random_strategy(3, rng)
+    walk = altpd.oracle._walk
+    starts = []
+
+    def spy(tables, u, states, i):
+        starts.append(i)
+        return walk(tables, u, states, i)
+
+    monkeypatch.setattr(altpd.oracle, "_walk", spy)
+    path = []
+    _bit_loop(p, q, _CHUNK, 0, 5, start=0, path=path)
+    u = np.random.Generator(np.random.PCG64(5)).random(2 * _CHUNK)
+    assert _play_chunk(_tables(p, q), 0, u).tolist() == path
+    assert any(i % _BLOCK for i in starts)
+
+
+@pytest.mark.parametrize("memory", [1, 3])
+@pytest.mark.parametrize(
+    "rounds, burn_in",
+    [
+        pytest.param(5000, 1500, id="burn-in-ends-inside-a-chunk"),
+        pytest.param(3000, 0, id="no-burn-in"),
+        pytest.param(50, 7, id="below-one-block"),
+    ],
+)
+@pytest.mark.parametrize("chunk", [1000, 4097])
+def test_the_chunk_plan_does_not_change_results(monkeypatch, memory, rounds, burn_in, chunk):
+    rng = np.random.default_rng(memory)
+    p, q = random_strategy(memory, rng), random_strategy(memory, rng)
+    whole = simulate(p, q, PARAMS, rounds=rounds, burn_in=burn_in, seed=8)
+    monkeypatch.setattr(altpd.oracle, "_CHUNK", chunk)
+    cut = simulate(p, q, PARAMS, rounds=rounds, burn_in=burn_in, seed=8)
+    assert np.array_equal(cut.state_frequencies, whole.state_frequencies)
+    assert cut.mean_payoff == whole.mean_payoff
+    assert cut.std_error == whole.std_error
 
 
 def _assert_matches_bit_loop(result, p, q, seed):

@@ -84,6 +84,34 @@ def test_only_real_batches_reach_the_array_kernel():
     assert callers == {("dynamics.py", "field_closed_form"), ("dynamics.py", "conservation_drift")}
 
 
+def _altpd_imports(path):
+    """Every altpd module that path imports, relative or absolute."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                package, _, module = module.partition(".")
+                if package != "altpd":
+                    continue
+            if module:
+                yield module.partition(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, module = alias.name.partition(".")
+                if package == "altpd" and module:
+                    yield module.partition(".")[0]
+
+
+def test_the_oracle_imports_no_analytic_route():
+    # The oracle arbitrates the analytic routes only while it knows nothing
+    # about transition matrices, payoffs or fields: it plays the rounds.
+    imported = set(_altpd_imports(ROOT / "src" / "altpd" / "oracle.py"))
+    assert "strategy" in imported
+    assert imported & {"chain", "payoff", "dynamics", "torus", "symmetry", "verify"} == set()
+
+
 def _public_modules():
     """Every module whose __all__ the package exports (all but cli)."""
     return [

@@ -21,6 +21,7 @@ CHECKS = {
     "reversal identity",
     "symmetry conjugation",
     "conservation",
+    "field kernel agreement",
     "torus commuting diagram",
     "oracle agreement",
 }
@@ -57,6 +58,16 @@ def _scale_g1(kernel):
     return corrupted
 
 
+def _scale_g1_rows(kernel):
+    # The batch kernel takes and returns coordinate-first arrays.
+    def corrupted(y, b, c):
+        field = kernel(y, b, c)
+        field[0] *= 1.0 + 1e-4
+        return field
+
+    return corrupted
+
+
 def _shift_x1(to_cube):
     def corrupted(pt):
         x = to_cube(pt)
@@ -78,7 +89,10 @@ CASES = [
     ("recursive-matrix", altpd.verify, "build_matrix_recursive", _swap_in_row_3,
      {"construction equivalence"}),
     ("stationary-tilted", altpd.payoff, "stationary", _tilt, {"payoff cross-check"}),
-    ("scalar-field-kernel", altpd.dynamics, "_field_scalar", _scale_g1, {"conservation"}),
+    ("array-field-kernel", altpd.dynamics, "_field_array", _scale_g1_rows,
+     {"field kernel agreement"}),
+    ("scalar-field-kernel", altpd.dynamics, "_field_scalar", _scale_g1,
+     {"conservation", "field kernel agreement"}),
     ("to-cube", altpd.verify, "to_cube", _shift_x1, {"torus commuting diagram"}),
     ("stationary-payoff", altpd.verify, "payoff_by_stationary", _offset,
      {"payoff cross-check", "oracle agreement"}),
