@@ -20,8 +20,7 @@ _BLOCK consecutive rounds and played in three stages:
    (Propp and Wilson 1996).
 3. Walk: in round order, each straggler is replayed round by round from
    the round where stage 2 stopped, and on through the following blocks
-   while a block does not end on its record, since the next block was
-   started from that record.
+   until a block ends on its record.
 
 The states are bit-identical to playing the rounds one at a time, for
 every pair: neither the chunk cuts nor coupling change the result, only
@@ -226,9 +225,11 @@ def _play_chunk(tables, h, u):
             break
 
     # Stage 3: each block's record now follows it from its given start up
-    # to round t, and to its end if it met the record. In round order, walk
-    # each straggler on from round t + 1, and on through the next blocks
-    # while a block does not end where the next one was started.
+    # to its round t, and to its end if it met the record. In round order,
+    # walk each straggler on from round t + 1, and on through the next
+    # blocks until one ends on its record: a record that does not end where
+    # the next block was started is a straggler's, whose walk covers that
+    # block.
     states = path.T.reshape(-1)[:rounds]
     lists = [table.tolist() for table in tables]
     done = 0
@@ -241,8 +242,8 @@ def _play_chunk(tables, h, u):
 def _walk(tables, u, states, i):
     # Replay from round i, on the state after round i - 1, to the end of
     # its block and on through whole blocks until one ends in its recorded
-    # state, the state the next block was started from. tables are lists;
-    # returns the round after the last one replayed.
+    # state. tables are lists; returns the round after the last one
+    # replayed.
     lead, follow, succ = tables
     first = i
     s = int(states[i - 1])

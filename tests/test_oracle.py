@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altpd.chain import build_matrix_direct, stationary
 import altpd.oracle
+from altpd.chain import build_matrix_direct, stationary
 from altpd.oracle import _BLOCK, _CHUNK, _play_chunk, _run, _tables, simulate
 from altpd.payoff import payoff_by_stationary
 from altpd.strategy import (
