@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonUniqueStationaryError
-from .strategy import Strategy, _shared_memory, state_label
+from .strategy import Strategy, _shared_memory, _successor_table, state_label
 
 __all__ = [
     "TransitionMatrix",
@@ -44,21 +44,21 @@ def build_matrix_direct(p: Strategy, q: Strategy) -> TransitionMatrix:
 
     The row for history h holds the quadruple
     p_h q_kC, p_h (1-q_kC), (1-p_h) q_kD, (1-p_h)(1-q_kD)
-    at the columns obtained by dropping h's oldest round and appending the
-    fresh (a, b) pair; kA is the follower index for leader action A.
+    at the columns successor[h][a][b] of the strategy module's successor
+    table (h's oldest round dropped, the fresh (a, b) pair appended); kA is
+    the table's follower index follower[h][A] for leader action A.
     """
     memory = _shared_memory(p, q)
     n = 4**memory
-    mask = n - 1
+    follower, successor = _successor_table(memory)
     m = np.zeros((n, n))
     for h in range(n):
         for a in (0, 1):
             p_factor = p.probs[h] if a == 0 else 1.0 - p.probs[h]
-            k = ((h << 1) | a) & mask
+            k = follower[h][a]
             for b in (0, 1):
                 q_factor = q.probs[k] if b == 0 else 1.0 - q.probs[k]
-                col = ((h << 2) | (a << 1) | b) & mask
-                m[h, col] += p_factor * q_factor
+                m[h, successor[h][a][b]] += p_factor * q_factor
     return TransitionMatrix(memory=memory, entries=m)
 
 

@@ -12,6 +12,10 @@ Encoding contract used throughout the package:
   its conditioning word drops the oldest leader symbol and appends the
   leader's fresh choice (own action N rounds ago first, then alternating
   leader/follower pairs, then the fresh leader action).
+* Each round moves the game from history h to the word that drops h's
+  oldest round and appends the fresh pair (a, b). `_shift_in` states this
+  rule once and `_successor_table` tabulates it per memory; the slot masks
+  `_mask_even` / `_mask_odd` pick each seat's symbols out of a word.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,20 +116,54 @@ def state_label(index: int, memory: int) -> str:
     return "|".join(word[i : i + 2] for i in range(0, len(word), 2))
 
 
+def _shift_in(h, symbols, memory: int):
+    """History index h with symbols appended and as many oldest ones dropped.
+
+    (a,) gives the follower's conditioning index, (a, b) the history after
+    the round; Python ints and broadcastable numpy integer arrays both work.
+    """
+    for symbol in symbols:
+        h = (h << 1) | symbol
+    return h & ((1 << (2 * memory)) - 1)
+
+
 def follower_index(history, leader_action) -> int:
     """Conditioning index of the follower given the leader's fresh action.
 
     Drops the first symbol of the history (the leader's oldest action) and
     appends the leader's current action.
     """
-    if isinstance(history, (History, str)):
-        h = encode_history(history)
-        memory = (len(history.word if isinstance(history, History) else history)) // 2
-    else:
+    if not isinstance(history, (History, str)):
         raise ValueError("history must be a History or a history word string")
-    a = Action.parse(leader_action)
-    mask = (1 << (2 * memory)) - 1
-    return ((h << 1) | int(a)) & mask
+    word = history.word if isinstance(history, History) else history
+    h = encode_history(word)
+    return _shift_in(h, (int(Action.parse(leader_action)),), len(word) // 2)
+
+
+@lru_cache(maxsize=None)
+def _successor_table(memory: int):
+    """(follower, successor) as nested tuples of ints: follower[h][a] is the
+    follower's conditioning index at history h after the leader's choice a,
+    and successor[h][a][b] the history after the round (a, b)."""
+    h = np.arange(4**memory)[:, None]
+    bit = np.arange(2)
+    follower = _shift_in(h, (bit,), memory).tolist()
+    successor = _shift_in(h[:, :, None], (bit[:, None], bit), memory).tolist()
+    return (
+        tuple(map(tuple, follower)),
+        tuple(tuple(map(tuple, row)) for row in successor),
+    )
+
+
+def _mask_even(memory: int) -> int:
+    # 0b01 repeated per round: the co-player's slots of a leader history,
+    # or the leader's slots of a follower word.
+    return (4**memory - 1) // 3
+
+
+def _mask_odd(memory: int) -> int:
+    # 0b10 repeated per round: the word owner's own slots.
+    return 2 * (4**memory - 1) // 3
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,14 @@ import numpy as np
 
 from .chain import TransitionMatrix, build_matrix_direct, stationary
 from .payoff import build_payoff_vector
-from .strategy import PayoffParams, Strategy, _shared_memory
+from .strategy import (
+    PayoffParams,
+    Strategy,
+    _mask_even,
+    _mask_odd,
+    _shared_memory,
+    _successor_table,
+)
 
 __all__ = [
     "build_admissible",
@@ -53,17 +60,6 @@ def build_admissible(memory: int) -> dict:
         which: reduce(np.kron, [base] * memory)
         for which, base in J_BASE.items()
     }
-
-
-def _mask_even(memory: int) -> int:
-    # 0b01 repeated per round: the co-player's slots of a leader history,
-    # or the leader's slots of a follower word.
-    return (4**memory - 1) // 3
-
-
-def _mask_odd(memory: int) -> int:
-    # 0b10 repeated per round: the word owner's own slots.
-    return 2 * (4**memory - 1) // 3
 
 
 def conjugation_action(p: Strategy, q: Strategy, which: int):
@@ -137,21 +133,21 @@ def verify_admissibility(
     n = m.shape[0]
     if perm.size != n:
         raise ValueError("J size must match the 4^N state space")
-    mask = n - 1
+    follower, successor = _successor_table(matrix.memory)
     x = m[np.ix_(perm, perm)]
 
     p_rec = np.empty(n)
     q_votes = [[] for _ in range(n)]
-    successors = np.zeros((n, n), dtype=bool)
+    structural = np.zeros((n, n), dtype=bool)
     for i in range(n):
-        cols = [((i << 2) | ab) & mask for ab in range(4)]
-        successors[i, cols] = True
+        cols = successor[i][0] + successor[i][1]
+        structural[i, cols] = True
         p_rec[i] = x[i, cols[0]] + x[i, cols[1]]
         if p_rec[i] > 1e-9:
-            q_votes[((i << 1) | 0) & mask].append(x[i, cols[0]] / p_rec[i])
+            q_votes[follower[i][0]].append(x[i, cols[0]] / p_rec[i])
         if 1.0 - p_rec[i] > 1e-9:
-            q_votes[((i << 1) | 1) & mask].append(x[i, cols[2]] / (1.0 - p_rec[i]))
-    off_structure = float(np.abs(x[~successors]).max()) if n > 4 else 0.0
+            q_votes[follower[i][1]].append(x[i, cols[2]] / (1.0 - p_rec[i]))
+    off_structure = float(np.abs(x[~structural]).max()) if n > 4 else 0.0
     if off_structure > _STRUCTURE_TOL:
         return AdmissibilityReport(False)
     if any(not votes for votes in q_votes):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from altpd.chain import build_matrix_direct, stationary
-from altpd.cli import RunConfig, main
+from altpd.cli import _MAX_GRID, RunConfig, main
 from altpd.dynamics import win_loss_exchange
 from altpd.strategy import Strategy, random_strategy
 
@@ -573,6 +573,21 @@ class TestConfigAndErrors:
         assert code == 64
         assert "t and dt" in err
         assert "Traceback" not in err
+
+    # Validation refuses these before any work is done, so the grid one
+    # past the largest allowed allocates nothing and writes no file.
+    @pytest.mark.parametrize(
+        "args, flag",
+        [(["verify", "--seed", "-1"], "--seed"),
+         (["torus", "--grid", str(_MAX_GRID + 1)], "--grid"),
+         (["torus", "--grid", "1"], "--grid")],
+    )
+    def test_out_of_range_seed_and_grid_exit_64(self, capsys, tmp_path, monkeypatch, args, flag):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(args, capsys)
+        assert code == 64
+        assert err.startswith(f"error: {flag} must")
+        assert list(tmp_path.iterdir()) == []
 
     def test_import_leaves_scipy_integrate_unloaded(self):
         probe = "import sys, altpd.cli; print('scipy.integrate' in sys.modules)"

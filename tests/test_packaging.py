@@ -84,6 +84,37 @@ def test_only_real_batches_reach_the_array_kernel():
     assert callers == {("dynamics.py", "field_closed_form"), ("dynamics.py", "conservation_drift")}
 
 
+def _history_shifts(path):
+    """(file, enclosing top-level function or None) of every left shift of
+    a variable, the form history-index arithmetic takes; a shifted constant
+    such as 1 << 15 is a size."""
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            shift = (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.LShift)
+                and not isinstance(node.left, ast.Constant)
+            ) or (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.LShift))
+            if shift:
+                yield path.name, owner
+
+
+def test_only_strategy_states_the_history_shift_rule():
+    # strategy's successor rule serves the direct matrix, the symmetry
+    # recovery and follower_index. The recursive matrix (chain._pattern)
+    # and the oracle keep their own arithmetic: they are the independent
+    # routes the direct matrix is checked against.
+    shifts = {shift for path in SOURCES for shift in _history_shifts(path)}
+    elsewhere = {
+        (name, owner)
+        for name, owner in shifts
+        if name not in ("strategy.py", "oracle.py") and (name, owner) != ("chain.py", "_pattern")
+    }
+    assert elsewhere == set()
+    assert ("strategy.py", "_shift_in") in shifts
+
+
 def _altpd_imports(path):
     """Every altpd module that path imports, relative or absolute."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

@@ -22,6 +22,7 @@ from altpd.strategy import (
     tit_for_tat,
     validate_raw,
 )
+from altpd.strategy import _mask_even, _mask_odd, _successor_table
 
 
 # ---- history encoding ----
@@ -72,6 +73,28 @@ def test_follower_index_stays_in_range():
             h = decode_history(index, memory)
             for a in (Action.C, Action.D):
                 assert 0 <= follower_index(h, a) < 4**memory
+
+
+def test_successor_table_matches_word_operations():
+    # Derived on the words themselves: the follower's word drops the first
+    # symbol and appends a; the next history drops the first round and
+    # appends (a, b). Seats move along with the symbols they label.
+    for memory in (1, 2, 3, 4):
+        follower, successor = _successor_table(memory)
+        for h in range(4**memory):
+            word = decode_history(h, memory).word
+            for a in (0, 1):
+                k = encode_history(word[1:] + "CD"[a])
+                assert follower[h][a] == k == follower_index(word, a)
+                for b in (0, 1):
+                    next_word = word[2:] + "CD"[a] + "CD"[b]
+                    assert successor[h][a][b] == encode_history(next_word)
+        leader_seats = "LF" * memory
+        follower_seats = leader_seats[1:] + "L"
+        for seats, owner in ((leader_seats, "L"), (follower_seats, "F")):
+            own = encode_history("".join("D" if s == owner else "C" for s in seats))
+            other = encode_history("".join("C" if s == owner else "D" for s in seats))
+            assert (_mask_odd(memory), _mask_even(memory)) == (own, other)
 
 
 def test_actions_are_cooperate_zero_defect_one():
