@@ -10,6 +10,7 @@ the stationary distribution is its left eigenvector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,14 +72,17 @@ _BASE_Q_IDX = np.array([[0, 0, 1, 1], [2, 2, 3, 3], [0, 0, 1, 1], [2, 2, 3, 3]])
 _BASE_Q_COMP = np.array([[False, True, False, True]] * 4)
 
 
+@lru_cache(maxsize=None)
 def _pattern(memory: int):
-    """Symbolic entry pattern (col, p index, p flag, q index, q flag) built by
-    the cut-into-quarters recursion.
+    """Symbolic entry pattern (flat index, p index, p flag, q index, q flag)
+    built by the cut-into-quarters recursion, once per memory.
 
     The memory-(m+1) matrix stacks sixteen slabs: the four quarters of the
     memory-m matrix, repeated once per prefix pair XY in {CC, CD, DC, DD}.
     Slab (XY, quarter j) lands in block column j; its p indices gain the
     prefix XY and its q indices gain (Y, first old symbol) at the front.
+    Every array is flat and read-only, four entries per row; the flat index
+    row * 4^N + col addresses each entry in the raveled matrix.
     """
     col, p_idx, p_comp, q_idx, q_comp = (
         _BASE_COL,
@@ -104,7 +108,12 @@ def _pattern(memory: int):
         col, p_idx, q_idx = new_col, new_p_idx, new_q_idx
         p_comp = np.tile(p_comp, (4, 1))
         q_comp = np.tile(q_comp, (4, 1))
-    return col, p_idx, p_comp, q_idx, q_comp
+    n = 4**memory
+    flat = np.arange(n)[:, None] * n + col
+    pattern = tuple(a.ravel() for a in (flat, p_idx, p_comp, q_idx, q_comp))
+    for a in pattern:
+        a.flags.writeable = False
+    return pattern
 
 
 def build_matrix_recursive(p: Strategy, q: Strategy) -> TransitionMatrix:
@@ -112,14 +121,13 @@ def build_matrix_recursive(p: Strategy, q: Strategy) -> TransitionMatrix:
     memory = _shared_memory(p, q)
     if memory == 1:
         raise ValueError("recursion base is memory 1")
-    col, p_idx, p_comp, q_idx, q_comp = _pattern(memory)
+    flat, p_idx, p_comp, q_idx, q_comp = _pattern(memory)
     p_factor = np.where(p_comp, 1.0 - p.probs[p_idx], p.probs[p_idx])
     q_factor = np.where(q_comp, 1.0 - q.probs[q_idx], q.probs[q_idx])
     n = 4**memory
-    m = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), 4)
-    m[rows, col.ravel()] = (p_factor * q_factor).ravel()
-    return TransitionMatrix(memory=memory, entries=m)
+    m = np.zeros(n * n)
+    m[flat] = p_factor * q_factor
+    return TransitionMatrix(memory=memory, entries=m.reshape(n, n))
 
 
 def stationary(matrix: TransitionMatrix) -> np.ndarray:

@@ -35,9 +35,9 @@ from .strategy import (
 __all__ = ["RunConfig", "main"]
 
 
-# At this grid `altpd torus` took 10.9 s and peaked at 558 MB RSS on a
-# 2-vCPU x86 host (1,000,000 field samples, a 76 MB field CSV); both grow
-# with grid^2.
+# At this grid `altpd torus` took 7.7-9.9 s and peaked at 138 MB RSS on a
+# 2-vCPU x86 host (1,000,000 field samples, a 76 MB field CSV written line
+# by line); both grow with grid^2.
 _MAX_GRID = 1000
 
 
@@ -66,7 +66,9 @@ class RunConfig:
     c1: float = _option(0.5, "first invariant level")
     c2: float = _option(0.5, "second invariant level")
     grid: int = _option(
-        40, f"field grid resolution, 2 to {_MAX_GRID} (grid^2 field samples)"
+        40,
+        f"field grid resolution, 2 to {_MAX_GRID} (grid^2 field samples; "
+        f"{_MAX_GRID} takes about 9 s and 140 MB)",
     )
     p: str = _option(None, "leader strategy: floats, allc, alld, tft, random:SEED")
     q: str = _option(None, "follower strategy, same forms as --p")
@@ -205,19 +207,29 @@ def _json_compact(value) -> str:
     return json.dumps(_plain(value))
 
 
-def _csv_text(provenance: dict, header: list, rows) -> str:
-    lines = ["# " + _json_compact(provenance), ",".join(header)]
+def _csv_lines(provenance: dict, header: list, rows):
+    yield "# " + _json_compact(provenance) + "\n"
+    yield ",".join(header) + "\n"
     for row in rows:
         # str of a float or a numpy float64 is its shortest round-trip repr.
-        lines.append(",".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+        yield ",".join(str(v) for v in row) + "\n"
 
 
-def _write(path: str, text: str) -> None:
+def _rows(table: np.ndarray):
+    """Rows of a 2-D array as lists of Python floats, converted 4096 rows
+    at a time."""
+    for start in range(0, len(table), 4096):
+        yield from table[start : start + 4096].tolist()
+
+
+def _write(path: str, lines) -> None:
+    """Write each line to stdout (path None or "-") or to the file at path
+    as soon as it is produced, so no copy of a whole table is held."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            out.writelines(lines)
 
 
 def _run_matrix(config: RunConfig) -> int:
@@ -251,7 +263,7 @@ def _run_matrix(config: RunConfig) -> int:
             "stationary": nu,
             **results,
         }
-        _write(config.out, _json_pretty(payload))
+        _write(config.out, [_json_pretty(payload)])
     else:
         provenance = {**config.to_dict(), "results": results}
         header = ["state", "label", "stationary"] + [
@@ -261,7 +273,7 @@ def _run_matrix(config: RunConfig) -> int:
             [i, labels[i], nu[i], *matrix.entries[i]]
             for i in range(matrix.entries.shape[0])
         ]
-        _write(config.out, _csv_text(provenance, header, rows))
+        _write(config.out, _csv_lines(provenance, header, rows))
     return 0
 
 
@@ -295,16 +307,14 @@ def _run_integrate(config: RunConfig) -> int:
     }
     if config.format == "json":
         states_out = [dict(zip(header, row)) for row in rows]
-        _write(config.out, _json_pretty({**summary, "trajectory": states_out}))
+        _write(config.out, [_json_pretty({**summary, "trajectory": states_out})])
         if config.out not in (None, "-"):
             sys.stdout.write(_json_pretty(summary))
         return 0
-    text = _csv_text(config.to_dict(), header, rows)
+    _write(config.out, _csv_lines(config.to_dict(), header, rows))
     if config.out in (None, "-"):
-        sys.stdout.write(text)
         sys.stdout.write("# summary " + _json_compact(summary) + "\n")
     else:
-        _write(config.out, text)
         sys.stdout.write(_json_pretty(summary))
     return 0
 
@@ -328,9 +338,10 @@ def _run_torus(config: RunConfig) -> int:
     provenance = config.to_dict()
 
     phi, psi, fphi, fpsi = field_grid(level, params, resolution=config.grid)
-    field_rows = np.column_stack([phi, psi, fphi, fpsi]).tolist()
     field_path = f"{prefix}_field.csv"
-    _write(field_path, _csv_text(provenance, ["phi", "psi", "phi_dot", "psi_dot"], field_rows))
+    samples = np.column_stack([phi, psi, fphi, fpsi])
+    header = ["phi", "psi", "phi_dot", "psi_dot"]
+    _write(field_path, _csv_lines(provenance, header, _rows(samples)))
 
     rect = admissible_rectangle(level)
     (lo1, hi1), (lo2, hi2) = rect.phi_interval, rect.psi_interval
@@ -338,14 +349,12 @@ def _run_torus(config: RunConfig) -> int:
         (lo1, lo2), (hi1, lo2), (hi1, hi2), (lo1, hi2), (lo1, lo2),
     ]
     rect_path = f"{prefix}_rectangle.csv"
-    _write(rect_path, _csv_text(provenance, ["phi", "psi"], corners))
+    _write(rect_path, _csv_lines(provenance, ["phi", "psi"], corners))
 
     segments = denominator_zero_segments(level)
     contour_path = f"{prefix}_contour.csv"
-    _write(
-        contour_path,
-        _csv_text(provenance, ["phi1", "psi1", "phi2", "psi2"], segments),
-    )
+    header = ["phi1", "psi1", "phi2", "psi2"]
+    _write(contour_path, _csv_lines(provenance, header, segments))
 
     entries = []
     for pt in torus_equilibria(level, params):
@@ -364,7 +373,7 @@ def _run_torus(config: RunConfig) -> int:
             }
         )
     eq_path = f"{prefix}_equilibria.json"
-    _write(eq_path, _json_pretty({"config": provenance, "equilibria": entries}))
+    _write(eq_path, [_json_pretty({"config": provenance, "equilibria": entries})])
 
     sys.stdout.write(
         "wrote {}, {}, {}, {} ({} equilibria)\n".format(

@@ -8,6 +8,7 @@ that never forms nu explicitly. Both are exposed and must agree.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,14 +34,20 @@ def _stacked(rstp, memory: int) -> np.ndarray:
     return f / memory
 
 
+@lru_cache(maxsize=32)
 def build_payoff_vector(params: PayoffParams, memory: int) -> np.ndarray:
     """Mean per-round payoff of the leader for each remembered history.
 
     Built by the stacking recursion: the memory-N vector is four copies of
     the memory-(N-1) vector offset by R, S, T, P (the payoff of the oldest
     remembered round), normalized by the window length N.
+
+    Built once per (params, memory): every call returns the same read-only
+    array, so a caller that writes into it must copy it first.
     """
-    return _stacked(params.rstp, memory)
+    f = _stacked(params.rstp, memory)
+    f.flags.writeable = False
+    return f
 
 
 def payoff_by_stationary(p: Strategy, q: Strategy, params: PayoffParams) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from altpd.chain import (
+    _pattern,
     build_matrix_direct,
     build_matrix_recursive,
     is_irreducible,
@@ -78,7 +79,11 @@ def test_mismatched_memory_rejected():
 
 
 def test_recursive_equals_direct():
-    for memory in (2, 3):
+    for memory in (2, 3, 4):
+        # The pattern is built once per memory and shared read-only.
+        pattern = _pattern(memory)
+        assert _pattern(memory) is pattern
+        assert not any(a.flags.writeable for a in pattern)
         for _ in range(10):
             p, q = random_strategy(memory, RNG), random_strategy(memory, RNG)
             direct = build_matrix_direct(p, q).entries

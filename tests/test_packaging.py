@@ -115,6 +115,16 @@ def test_only_strategy_states_the_history_shift_rule():
     assert ("strategy.py", "_shift_in") in shifts
 
 
+def test_per_memory_constants_are_cached():
+    # Tier-1 times nothing, so only this keeps a refactor from rebuilding
+    # these on every call: each depends on the memory (and the payoff
+    # parameters) alone and is built once per key.
+    from altpd import chain, payoff, strategy
+
+    for cached in (strategy._successor_table, chain._pattern, payoff.build_payoff_vector):
+        assert callable(getattr(cached, "cache_info", None)), cached.__name__
+
+
 def _altpd_imports(path):
     """Every altpd module that path imports, relative or absolute."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

@@ -9,6 +9,7 @@ from altpd.chain import build_matrix_direct
 from altpd.errors import SingularPayoffError
 from altpd.payoff import (
     _exact_payoff_vector,
+    _stacked,
     build_payoff_vector,
     payoff_by_determinant,
     payoff_by_stationary,
@@ -73,13 +74,31 @@ def _payoff_vector_by_rounds(params, memory):
     return f
 
 
-@pytest.mark.parametrize("params", [PARAMS, PayoffParams(b=2.0, c=1.5)])
-@pytest.mark.parametrize("memory", [1, 2, 3])
+@pytest.mark.parametrize(
+    "params", [PARAMS, PayoffParams(b=2.0, c=1.5), PayoffParams(b=3.0, c=0.7)]
+)
+@pytest.mark.parametrize("memory", [1, 2, 3, 4])
 def test_payoff_vector_is_the_mean_payoff_of_the_remembered_rounds(params, memory):
     by_rounds = _payoff_vector_by_rounds(params, memory)
     assert list(_exact_payoff_vector(params, memory)) == by_rounds
     want = np.array([float(v) for v in by_rounds])
-    assert np.max(np.abs(build_payoff_vector(params, memory) - want)) <= 4 * np.finfo(float).eps
+    f = build_payoff_vector(params, memory)
+    assert np.max(np.abs(f - want)) <= 4 * np.finfo(float).eps
+    # Built once per (params, memory): the one shared array is the stacking
+    # recursion's, bit for bit, and read-only.
+    assert f.tobytes() == _stacked(params.rstp, memory).tobytes()
+    assert build_payoff_vector(params, memory) is f
+    with pytest.raises(ValueError):
+        f[0] = 0.0
+
+
+def test_payoff_vector_cache_is_keyed_by_params_and_bounded():
+    costs = [k / 1001 for k in range(1, 1001)]
+    vectors = {build_payoff_vector(PayoffParams(b=1.0, c=c), 2).tobytes() for c in costs}
+    vectors.add(build_payoff_vector(PayoffParams(b=2.0, c=costs[0]), 2).tobytes())
+    assert len(vectors) == 1001
+    info = build_payoff_vector.cache_info()
+    assert info.currsize <= info.maxsize == 32
 
 
 # ---- payoff routes ----
