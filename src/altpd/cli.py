@@ -295,7 +295,7 @@ def _run_integrate(config: RunConfig) -> int:
     else:
         drift1 = drift2 = math.nan
         header = ["t"] + [f"x{i + 1}" for i in range(states.shape[1])]
-    rows = np.column_stack(columns).tolist()
+    table = np.column_stack(columns)
     summary = {
         "config": config.to_dict(),
         "status": trajectory.status,
@@ -306,12 +306,12 @@ def _run_integrate(config: RunConfig) -> int:
         "final_state": trajectory.final,
     }
     if config.format == "json":
-        states_out = [dict(zip(header, row)) for row in rows]
+        states_out = [dict(zip(header, row)) for row in table.tolist()]
         _write(config.out, [_json_pretty({**summary, "trajectory": states_out})])
         if config.out not in (None, "-"):
             sys.stdout.write(_json_pretty(summary))
         return 0
-    _write(config.out, _csv_lines(config.to_dict(), header, rows))
+    _write(config.out, _csv_lines(config.to_dict(), header, _rows(table)))
     if config.out in (None, "-"):
         sys.stdout.write("# summary " + _json_compact(summary) + "\n")
     else:
