@@ -199,8 +199,11 @@ def _plain(value):
     return value
 
 
-def _json_pretty(value) -> str:
-    return json.dumps(_plain(value), indent=2) + "\n"
+def _json_pretty(value):
+    """The indented JSON document of value, as chunks for _write: the
+    whole text is never joined into one string."""
+    yield from json.JSONEncoder(indent=2).iterencode(_plain(value))
+    yield "\n"
 
 
 def _json_compact(value) -> str:
@@ -222,14 +225,15 @@ def _rows(table: np.ndarray):
         yield from table[start : start + 4096].tolist()
 
 
-def _write(path: str, lines) -> None:
-    """Write each line to stdout (path None or "-") or to the file at path
-    as soon as it is produced, so no copy of a whole table is held."""
+def _write(path: str, chunks) -> None:
+    """Write each chunk (a CSV line or a piece of a JSON document) to
+    stdout (path None or "-") or to the file at path as soon as it is
+    produced, so no copy of a whole table or document is held."""
     if path is None or path == "-":
-        sys.stdout.writelines(lines)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w") as out:
-            out.writelines(lines)
+            out.writelines(chunks)
 
 
 def _run_matrix(config: RunConfig) -> int:
@@ -263,7 +267,7 @@ def _run_matrix(config: RunConfig) -> int:
             "stationary": nu,
             **results,
         }
-        _write(config.out, [_json_pretty(payload)])
+        _write(config.out, _json_pretty(payload))
     else:
         provenance = {**config.to_dict(), "results": results}
         header = ["state", "label", "stationary"] + [
@@ -307,15 +311,15 @@ def _run_integrate(config: RunConfig) -> int:
     }
     if config.format == "json":
         states_out = [dict(zip(header, row)) for row in table.tolist()]
-        _write(config.out, [_json_pretty({**summary, "trajectory": states_out})])
+        _write(config.out, _json_pretty({**summary, "trajectory": states_out}))
         if config.out not in (None, "-"):
-            sys.stdout.write(_json_pretty(summary))
+            _write(None, _json_pretty(summary))
         return 0
     _write(config.out, _csv_lines(config.to_dict(), header, _rows(table)))
     if config.out in (None, "-"):
         sys.stdout.write("# summary " + _json_compact(summary) + "\n")
     else:
-        sys.stdout.write(_json_pretty(summary))
+        _write(None, _json_pretty(summary))
     return 0
 
 
@@ -373,7 +377,7 @@ def _run_torus(config: RunConfig) -> int:
             }
         )
     eq_path = f"{prefix}_equilibria.json"
-    _write(eq_path, [_json_pretty({"config": provenance, "equilibria": entries})])
+    _write(eq_path, _json_pretty({"config": provenance, "equilibria": entries}))
 
     sys.stdout.write(
         "wrote {}, {}, {}, {} ({} equilibria)\n".format(
@@ -383,15 +387,10 @@ def _run_torus(config: RunConfig) -> int:
     return 0
 
 
-def _run_verify(config: RunConfig, corrupt_payoff: bool) -> int:
+def _run_verify(config: RunConfig) -> int:
     from .verify import run_suite
 
-    results = run_suite(
-        memory=config.n,
-        seed=config.seed,
-        params=config.params,
-        corrupt_payoff=corrupt_payoff,
-    )
+    results = run_suite(memory=config.n, seed=config.seed, params=config.params)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         detail = f" ({r.detail})" if r.detail else ""
@@ -428,13 +427,7 @@ def _build_parser() -> _Parser:
     sub.add_parser(
         "torus", parents=[shared], help="reduced field, rectangle, contour, equilibria"
     )
-    verify = sub.add_parser("verify", parents=[shared], help="run the property suite")
-    verify.add_argument(
-        "--corrupt-payoff",
-        action="store_true",
-        dest="corrupt_payoff",
-        help=argparse.SUPPRESS,
-    )
+    sub.add_parser("verify", parents=[shared], help="run the property suite")
     return parser
 
 
@@ -446,7 +439,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_integrate(config)
     if args.command == "torus":
         return _run_torus(config)
-    return _run_verify(config, getattr(args, "corrupt_payoff", False))
+    return _run_verify(config)
 
 
 def main(argv=None) -> int:

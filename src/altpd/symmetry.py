@@ -116,15 +116,16 @@ def verify_admissibility(
     j: np.ndarray,
     p: Strategy,
     q: Strategy,
-    params: PayoffParams = None,
+    params: PayoffParams,
 ) -> AdmissibilityReport:
-    """Check that J M(p,q) J^T is again an alternating-game matrix.
+    """Check that J M(p,q) J^T is again an alternating-game matrix with the
+    same payoff.
 
     Recovers the candidate strategy pair from the conjugated matrix row by
     row (row sums of the leader half give p'; the quadruple ratios give q',
     each entry twice, so agreement is part of the check), rebuilds the
-    matrix from the recovered pair, and compares. With params given, also
-    checks payoff invariance of the transformed triple (J nu, J M J^T, J f)
+    matrix from the recovered pair, and compares. Then checks payoff
+    invariance under params of the transformed triple (J nu, J M J^T, J f)
     against the original within 1e-10.
     """
     perm = _permutation_of(j)
@@ -168,21 +169,18 @@ def verify_admissibility(
     if structure_error > _STRUCTURE_TOL:
         return AdmissibilityReport(False, structure_error=structure_error)
 
-    payoff_error = 0.0
-    if params is not None:
-        f = build_payoff_vector(params, matrix.memory)
-        original = stationary(matrix) @ f
-        transformed = stationary(TransitionMatrix(matrix.memory, x)) @ f[perm]
-        payoff_error = float(abs(original - transformed))
-        if payoff_error > 1e-10:
-            return AdmissibilityReport(
-                False, p_image, q_image, structure_error, payoff_error
-            )
+    f = build_payoff_vector(params, matrix.memory)
+    original = stationary(matrix) @ f
+    transformed = stationary(TransitionMatrix(matrix.memory, x)) @ f[perm]
+    payoff_error = float(abs(original - transformed))
+    if payoff_error > 1e-10:
+        return AdmissibilityReport(False, p_image, q_image, structure_error, payoff_error)
     return AdmissibilityReport(True, p_image, q_image, structure_error, payoff_error)
 
 
-def exhaustive_admissible_search(pairs, params: PayoffParams = None) -> list:
-    """All 4x4 permutation matrices admissible for every given (p, q) pair.
+def exhaustive_admissible_search(pairs, params: PayoffParams) -> list:
+    """All 4x4 permutation matrices admissible for every given (p, q) pair
+    under params: structure and payoff both preserved.
 
     Exhausts the 24 permutations of the memory-1 state space; the expected
     result is exactly the four J matrices (in particular, no permutation

@@ -384,8 +384,9 @@ def torus_trajectory(
     )
 
 
-def field_grid(level: TorusLevel, params: PayoffParams, resolution: int = 40):
-    """Reduced field sampled on a regular angle grid over [0, 2pi)^2.
+def field_grid(level: TorusLevel, params: PayoffParams, resolution: int):
+    """Reduced field sampled on a regular resolution x resolution angle grid
+    over [0, 2pi)^2 (the CLI's --grid sets resolution).
 
     Returns (phi, psi, phi_dot, psi_dot) flat arrays of length
     resolution^2; samples the field kernel refuses carry NaN (among them

@@ -97,7 +97,7 @@ def test_all_four_admissible_with_payoff_invariance():
 
 def test_report_recovers_the_conjugated_pair():
     p, q = random_strategy(1, RNG), random_strategy(1, RNG)
-    report = verify_admissibility(J_BASE[4], p, q)
+    report = verify_admissibility(J_BASE[4], p, q, PARAMS)
     expected_p, expected_q = conjugation_action(p, q, 4)
     assert np.allclose(report.p_image.probs, expected_p.probs)
     assert np.allclose(report.q_image.probs, expected_q.probs)
@@ -111,7 +111,9 @@ def test_non_admissible_permutation_detected():
 
 def test_rejects_non_permutation_input():
     with pytest.raises(ValueError):
-        verify_admissibility(np.full((4, 4), 0.25), *[random_strategy(1, RNG)] * 2)
+        verify_admissibility(
+            np.full((4, 4), 0.25), *[random_strategy(1, RNG)] * 2, PARAMS
+        )
 
 
 def test_exhaustive_search_finds_exactly_the_four():

@@ -1,9 +1,13 @@
 """Every `altpd verify` check can fail: each corrupted route turns exactly
 its own checks red, and the clean suite stays green.
 
-Each case patches one route in process and runs `run_suite()` at its
-defaults (memory 1, seed 0), as `altpd verify` runs it.
+Each case patches one route in process and runs `run_suite(memory=N)` at
+seed 0, as `altpd verify --n N` runs it. Memory 1 runs every check; the
+exact payoff vector is also corrupted at memory 3, which runs every check
+but the three memory-1 field checks.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ CHECKS = {
     "torus commuting diagram",
     "oracle agreement",
 }
+MEMORY_ONE_ONLY = {"conservation", "field kernel agreement", "torus commuting diagram"}
 
 
 def _swap_in_row_3(build):
@@ -84,23 +89,38 @@ def _offset(payoff):
     return corrupted
 
 
-# (id, module, attribute, corruption, checks that must turn red)
+def _bump_f0(exact):
+    # One payoff entry off by 1e-6, exactly.
+    def corrupted(params, memory):
+        f = exact(params, memory)
+        f[0] += Fraction(1, 10**6)
+        return f
+
+    return corrupted
+
+
+# (id, module, attribute, corruption, memory, checks that must turn red)
 CASES = [
-    ("recursive-matrix", altpd.verify, "build_matrix_recursive", _swap_in_row_3,
+    ("recursive-matrix", altpd.verify, "build_matrix_recursive", _swap_in_row_3, 1,
      {"construction equivalence"}),
-    ("stationary-tilted", altpd.payoff, "stationary", _tilt, {"payoff cross-check"}),
-    ("array-field-kernel", altpd.dynamics, "_field_array", _scale_g1_rows,
+    ("stationary-tilted", altpd.payoff, "stationary", _tilt, 1, {"payoff cross-check"}),
+    ("array-field-kernel", altpd.dynamics, "_field_array", _scale_g1_rows, 1,
      {"field kernel agreement"}),
-    ("scalar-field-kernel", altpd.dynamics, "_field_scalar", _scale_g1,
+    ("scalar-field-kernel", altpd.dynamics, "_field_scalar", _scale_g1, 1,
      {"conservation", "field kernel agreement"}),
-    ("to-cube", altpd.verify, "to_cube", _shift_x1, {"torus commuting diagram"}),
-    ("stationary-payoff", altpd.verify, "payoff_by_stationary", _offset,
+    ("to-cube", altpd.verify, "to_cube", _shift_x1, 1, {"torus commuting diagram"}),
+    ("stationary-payoff", altpd.verify, "payoff_by_stationary", _offset, 1,
      {"payoff cross-check", "oracle agreement"}),
+    ("exact-payoff-vector", altpd.verify, "_exact_payoff_vector", _bump_f0, 1,
+     {"reversal identity"}),
+    ("exact-payoff-vector-memory-three", altpd.verify, "_exact_payoff_vector",
+     _bump_f0, 3, {"reversal identity"}),
 ]
 
 
-def _failed(results):
-    assert {r.name for r in results} == CHECKS
+def _failed(results, memory=1):
+    expected = CHECKS if memory == 1 else CHECKS - MEMORY_ONE_ONLY
+    assert {r.name for r in results} == expected
     return {r.name for r in results if not r.passed}
 
 
@@ -109,12 +129,12 @@ def test_clean_suite_is_all_green():
 
 
 @pytest.mark.parametrize(
-    "module, attribute, corrupt, red",
+    "module, attribute, corrupt, memory, red",
     [case[1:] for case in CASES],
     ids=[case[0] for case in CASES],
 )
 def test_a_corrupted_route_turns_exactly_its_checks_red(
-    monkeypatch, module, attribute, corrupt, red
+    monkeypatch, module, attribute, corrupt, memory, red
 ):
     monkeypatch.setattr(module, attribute, corrupt(getattr(module, attribute)))
-    assert _failed(run_suite()) == red
+    assert _failed(run_suite(memory=memory), memory) == red
