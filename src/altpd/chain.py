@@ -130,6 +130,16 @@ def build_matrix_recursive(p: Strategy, q: Strategy) -> TransitionMatrix:
     return TransitionMatrix(memory=memory, entries=m.reshape(n, n))
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, built once per size: the stationary
+    solve and the determinant payoff subtract it from the matrix, and its
+    last row is the solve's unit right-hand side."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def stationary(matrix: TransitionMatrix) -> np.ndarray:
     """Stationary distribution nu with nu^T M = nu^T and sum(nu) = 1.
 
@@ -139,33 +149,29 @@ def stationary(matrix: TransitionMatrix) -> np.ndarray:
     anything wider raises NonUniqueStationaryError.
     """
     m = matrix.entries
-    n = m.shape[0]
-    a = m.T - np.eye(n)
+    eye = _identity(m.shape[0])
+    a = m.T - eye
     a[-1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    nu = None
     try:
-        candidate = np.linalg.solve(a, rhs)
+        nu = np.linalg.solve(a, eye[-1])
     except np.linalg.LinAlgError:
-        candidate = None
-    if candidate is not None and _is_distribution(candidate, m):
-        nu = candidate
-    if nu is None:
+        nu = None
+    if nu is None or not _is_distribution(nu, m):
         nu = _kernel_distribution(m)
     nu = nu.clip(min=0.0)
     return nu / nu.sum()
 
 
 def _is_distribution(nu: np.ndarray, m: np.ndarray) -> bool:
-    if not np.all(np.isfinite(nu)) or nu.min() < -1e-12:
+    # A NaN entry fails the residual test (NaN compares false), -inf fails
+    # the min test, and +inf makes the residual NaN or infinite.
+    if nu.min() < -1e-12:
         return False
     return np.abs(nu @ m - nu).max() < 1e-10
 
 
 def _kernel_distribution(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    _, sing, vt = np.linalg.svd(m.T - np.eye(n))
+    _, sing, vt = np.linalg.svd(m.T - _identity(m.shape[0]))
     null_dim = int(np.sum(sing < _NULL_SPACE_TOL))
     if null_dim != 1:
         raise NonUniqueStationaryError("non-unique stationary distribution")

@@ -206,6 +206,23 @@ def _json_pretty(value):
     yield "\n"
 
 
+def _json_table(head: dict, key: str, header: list, table: np.ndarray):
+    """The chunks of _json_pretty({**head, key: rows}), where rows holds one
+    {header[j]: row[j]} object per row of table. The rows are formatted as
+    the encoder would, from _rows' chunks of the table, so no list of row
+    objects is held; table must have at least one row."""
+    before, after = "".join(_json_pretty({**head, key: []})).rsplit("[]", 1)
+    names = ["\n      " + json.dumps(name) + ": " for name in header]
+    separator = "[\n    {"
+    yield before
+    for row in _rows(table):
+        # repr is the encoder's float format; _plain writes non-finite as null.
+        values = (repr(v) if math.isfinite(v) else "null" for v in row)
+        yield separator + ",".join(map(str.__add__, names, values)) + "\n    }"
+        separator = ",\n    {"
+    yield "\n  ]" + after
+
+
 def _json_compact(value) -> str:
     return json.dumps(_plain(value))
 
@@ -310,8 +327,7 @@ def _run_integrate(config: RunConfig) -> int:
         "final_state": trajectory.final,
     }
     if config.format == "json":
-        states_out = [dict(zip(header, row)) for row in table.tolist()]
-        _write(config.out, _json_pretty({**summary, "trajectory": states_out}))
+        _write(config.out, _json_table(summary, "trajectory", header, table))
         if config.out not in (None, "-"):
             _write(None, _json_pretty(summary))
         return 0

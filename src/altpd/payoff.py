@@ -7,12 +7,13 @@ that never forms nu explicitly. Both are exposed and must agree.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .chain import TransitionMatrix, build_matrix_direct, stationary
+from .chain import TransitionMatrix, _identity, build_matrix_direct, stationary
 from .errors import SingularPayoffError
 from .strategy import PayoffParams, Strategy
 
@@ -65,20 +66,21 @@ def payoff_by_determinant(
 
     Both determinants take M - I and overwrite the last column, by f for the
     numerator and by ones for the denominator; the common cofactor scale
-    cancels in the ratio.
+    cancels in the ratio. The two matrices are stacked so that one
+    np.linalg.det call runs the same LU on each.
     """
     if matrix is None:
         matrix = build_matrix_direct(p, q)
-    f = build_payoff_vector(params, matrix.memory)
-    base = matrix.entries - np.eye(matrix.entries.shape[0])
-    numerator = base.copy()
-    numerator[:, -1] = f
-    denominator = base.copy()
-    denominator[:, -1] = 1.0
-    det_den = np.linalg.det(denominator)
-    if not np.isfinite(det_den) or det_den == 0.0:
+    m = matrix.entries
+    n = m.shape[0]
+    pair = np.empty((2, n, n))
+    pair[:] = m - _identity(n)
+    pair[0, :, -1] = build_payoff_vector(params, matrix.memory)
+    pair[1, :, -1] = 1.0
+    det_num, det_den = np.linalg.det(pair)
+    if not math.isfinite(det_den) or det_den == 0.0:
         raise SingularPayoffError("determinant formula singular")
-    return float(np.linalg.det(numerator) / det_den)
+    return float(det_num / det_den)
 
 
 def _exact_payoff_vector(params: PayoffParams, memory: int) -> np.ndarray:

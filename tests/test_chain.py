@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from altpd import chain
 from altpd.chain import (
+    _is_distribution,
     _pattern,
     build_matrix_direct,
     build_matrix_recursive,
@@ -140,6 +142,100 @@ def test_interior_strategies_never_error():
     for _ in range(50):
         p, q = random_strategy(1, RNG), random_strategy(1, RNG)
         stationary(build_matrix_direct(p, q))
+
+
+def _reference_is_distribution(nu, m):
+    if not np.all(np.isfinite(nu)) or nu.min() < -1e-12:
+        return False
+    return np.abs(nu @ m - nu).max() < 1e-10
+
+
+def _reference_stationary(m):
+    """The stationary solve written out with a fresh identity for each
+    M^T - I, a zeros right-hand side and a separate finiteness pass."""
+    n = m.shape[0]
+    a = m.T - np.eye(n)
+    a[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        nu = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        nu = None
+    if nu is None or not _reference_is_distribution(nu, m):
+        _, sing, vt = np.linalg.svd(m.T - np.eye(n))
+        if int(np.sum(sing < 1e-10)) != 1:
+            raise NonUniqueStationaryError("kernel dimension")
+        nu = vt[-1]
+        total = nu.sum()
+        if abs(total) < 1e-12 or nu.min() * np.sign(total) < -1e-12 * abs(total):
+            raise NonUniqueStationaryError("kernel sign")
+        nu = nu / total
+        if not _reference_is_distribution(nu, m):
+            raise NonUniqueStationaryError("kernel residual")
+    nu = nu.clip(min=0.0)
+    return nu / nu.sum()
+
+
+def _outcome(route, *args):
+    """The bytes of route(*args), or the error type it raised."""
+    try:
+        return route(*args).tobytes()
+    except NonUniqueStationaryError:
+        return NonUniqueStationaryError
+
+
+def test_stationary_matches_the_reference_solve_bit_for_bit(pair_corpus):
+    raised = 0
+    for memory, kind, p, q in pair_corpus:
+        matrix = build_matrix_direct(p, q)
+        expected = _outcome(_reference_stationary, matrix.entries)
+        assert _outcome(stationary, matrix) == expected, (memory, kind)
+        raised += expected is NonUniqueStationaryError
+    assert raised > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("memory", [1, 2, 3])
+def test_non_finite_candidate_is_not_a_distribution(memory, bad):
+    # Without a finiteness pass: NaN fails the residual test, -inf the min
+    # test, and +inf turns the residual NaN or infinite (numpy warns about
+    # the invalid operation on the way).
+    matrix = build_matrix_direct(random_strategy(memory, RNG), random_strategy(memory, RNG))
+    nu = stationary(matrix)
+    assert _is_distribution(nu, matrix.entries)
+    nu[RNG.integers(nu.size)] = bad
+    with np.errstate(invalid="ignore"):
+        assert not _is_distribution(nu, matrix.entries)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "raise"])
+def test_failed_direct_solve_falls_back_to_the_kernel(monkeypatch, bad):
+    # A one-dimensional kernel whose direct solve returns a non-finite
+    # candidate or raises still yields the reference distribution, through
+    # the kernel route.
+    real_solve, real_kernel = np.linalg.solve, chain._kernel_distribution
+    kernel_calls = []
+
+    def failing_solve(a, b):
+        if bad == "raise":
+            raise np.linalg.LinAlgError("singular matrix")
+        nu = real_solve(a, b)
+        nu[1] = bad
+        return nu
+
+    def kernel(m):
+        kernel_calls.append(m)
+        return real_kernel(m)
+
+    matrix = build_matrix_direct(random_strategy(2, RNG), random_strategy(2, RNG))
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    monkeypatch.setattr(chain, "_kernel_distribution", kernel)
+    with np.errstate(invalid="ignore"):
+        expected = _reference_stationary(matrix.entries)
+        nu = stationary(matrix)
+    assert len(kernel_calls) == 1
+    assert nu.tobytes() == expected.tobytes()
 
 
 # ---- helpers ----

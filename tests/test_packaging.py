@@ -11,6 +11,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import altpd
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -121,8 +124,22 @@ def test_per_memory_constants_are_cached():
     # parameters) alone and is built once per key.
     from altpd import chain, payoff, strategy
 
-    for cached in (strategy._successor_table, chain._pattern, payoff.build_payoff_vector):
+    cached_builders = (
+        strategy._successor_table,
+        chain._pattern,
+        chain._identity,
+        payoff.build_payoff_vector,
+    )
+    for cached in cached_builders:
         assert callable(getattr(cached, "cache_info", None)), cached.__name__
+    # The identity is shared by every stationary solve and determinant
+    # payoff of its size, so it must be read-only, like the payoff vector.
+    for n in (4, 16, 64):
+        eye = chain._identity(n)
+        assert chain._identity(n) is eye
+        assert np.array_equal(eye, np.eye(n))
+        with pytest.raises(ValueError):
+            eye[0, 0] = 0.0
 
 
 def _altpd_imports(path):

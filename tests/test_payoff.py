@@ -136,3 +136,36 @@ def test_determinant_singular_on_two_closed_classes():
     s = Strategy(np.array([1.0, 0.5, 0.5, 0.0]))
     with pytest.raises(SingularPayoffError):
         payoff_by_determinant(s, s, PARAMS)
+
+
+def _reference_determinant(matrix, params):
+    """The determinant route written out with two np.linalg.det calls."""
+    f = build_payoff_vector(params, matrix.memory)
+    base = matrix.entries - np.eye(matrix.entries.shape[0])
+    numerator = base.copy()
+    numerator[:, -1] = f
+    denominator = base.copy()
+    denominator[:, -1] = 1.0
+    det_den = np.linalg.det(denominator)
+    if not np.isfinite(det_den) or det_den == 0.0:
+        raise SingularPayoffError("determinant formula singular")
+    return float(np.linalg.det(numerator) / det_den)
+
+
+def _outcome(route, *args):
+    """The bytes of route(*args), or the error type it raised."""
+    try:
+        return np.float64(route(*args)).tobytes()
+    except SingularPayoffError:
+        return SingularPayoffError
+
+
+def test_stacked_determinants_match_two_det_calls_bit_for_bit(pair_corpus):
+    raised = 0
+    for memory, kind, p, q in pair_corpus:
+        matrix = build_matrix_direct(p, q)
+        expected = _outcome(_reference_determinant, matrix, PARAMS)
+        actual = _outcome(payoff_by_determinant, p, q, PARAMS, matrix)
+        assert actual == expected, (memory, kind)
+        raised += expected is SingularPayoffError
+    assert raised > 0
