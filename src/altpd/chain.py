@@ -143,10 +143,14 @@ def _identity(n: int) -> np.ndarray:
 def stationary(matrix: TransitionMatrix) -> np.ndarray:
     """Stationary distribution nu with nu^T M = nu^T and sum(nu) = 1.
 
-    Solves the dense system with one equation replaced by the normalization.
-    If that system is singular the null space of (M^T - I) is inspected: a
-    numerically one-dimensional kernel still yields the unique distribution,
-    anything wider raises NonUniqueStationaryError.
+    Solves (M^T - I) nu = 0 with its last equation replaced by sum(nu) = 1.
+    The rows of M^T - I sum to zero, so the other rows span its row space,
+    the orthogonal complement of its kernel; that kernel holds a stationary
+    distribution, which is not orthogonal to the ones row. The system is therefore nonsingular exactly
+    when the kernel is one-dimensional, and the SVD of M^T - I guards only a
+    solve that fails in floating point: a numerically one-dimensional kernel
+    still yields the distribution, a wider one raises
+    NonUniqueStationaryError.
     """
     m = matrix.entries
     eye = _identity(m.shape[0])
@@ -177,7 +181,7 @@ def _kernel_distribution(m: np.ndarray) -> np.ndarray:
         raise NonUniqueStationaryError("non-unique stationary distribution")
     nu = vt[-1]
     total = nu.sum()
-    if abs(total) < 1e-12 or nu.min() * np.sign(total) < -1e-12 * abs(total):
+    if abs(total) < 1e-12:
         raise NonUniqueStationaryError("non-unique stationary distribution")
     nu = nu / total
     if not _is_distribution(nu, m):

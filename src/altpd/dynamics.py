@@ -587,14 +587,12 @@ def conservation_drift(
         rows = rows[keep]
         block = np.compress(keep, states[-1], axis=1)
     step = _cube_step(params)
-    for i, state in zip(rows, block.T.tolist()):
+    for row, state in zip(rows[:, None], block.T.tolist()):
         y, left, status = tuple(state), n_steps - done, "completed"
         while left and status == "completed":
             count = min(left, _DRIFT_CHUNK)
             _, s, status = _march(step, y, count, dt, FieldSingularError, _interior)
-            f1, f2 = _levels(s)
-            drift1[i] = max(drift1[i], np.max(np.abs(f1 - start1[i])))
-            drift2[i] = max(drift2[i], np.max(np.abs(f2 - start2[i])))
+            _read_chunk(s[:, :, None], row, start1, start2, drift1, drift2)
             y, left = tuple(s[-1].tolist()), left - count
     return drift1, drift2
 

@@ -123,10 +123,11 @@ def verify_admissibility(
 
     Recovers the candidate strategy pair from the conjugated matrix row by
     row (row sums of the leader half give p'; the quadruple ratios give q',
-    each entry twice, so agreement is part of the check), rebuilds the
-    matrix from the recovered pair, and compares. Then checks payoff
-    invariance under params of the transformed triple (J nu, J M J^T, J f)
-    against the original within 1e-10.
+    each entry up to twice, so agreement is part of the check), rebuilds the
+    matrix from the recovered pair, and compares every entry, off the
+    successor pattern too, within 1e-12. Then checks payoff invariance under
+    params of the transformed triple (J nu, J M J^T, J f) against the
+    original within 1e-10.
     """
     perm = _permutation_of(j)
     matrix = build_matrix_direct(p, q)
@@ -139,27 +140,20 @@ def verify_admissibility(
 
     p_rec = np.empty(n)
     q_votes = [[] for _ in range(n)]
-    structural = np.zeros((n, n), dtype=bool)
     for i in range(n):
         cols = successor[i][0] + successor[i][1]
-        structural[i, cols] = True
         p_rec[i] = x[i, cols[0]] + x[i, cols[1]]
         if p_rec[i] > 1e-9:
             q_votes[follower[i][0]].append(x[i, cols[0]] / p_rec[i])
         if 1.0 - p_rec[i] > 1e-9:
             q_votes[follower[i][1]].append(x[i, cols[2]] / (1.0 - p_rec[i]))
-    off_structure = float(np.abs(x[~structural]).max()) if n > 4 else 0.0
-    if off_structure > _STRUCTURE_TOL:
-        return AdmissibilityReport(False)
-    if any(not votes for votes in q_votes):
-        return AdmissibilityReport(False)
-    q_rec = np.array([votes[0] for votes in q_votes])
-    vote_spread = max(max(votes) - min(votes) for votes in q_votes)
-    if vote_spread > 1e-9:
-        return AdmissibilityReport(False)
-    if p_rec.min() < -_STRUCTURE_TOL or p_rec.max() > 1 + _STRUCTURE_TOL:
-        return AdmissibilityReport(False)
-    if q_rec.min() < -_STRUCTURE_TOL or q_rec.max() > 1 + _STRUCTURE_TOL:
+    # Ratios of nonnegative entries in rows summing to 1 lie in [0, 1], but
+    # for a second-half ratio over a tiny 1 - p'. An entry without votes
+    # meets only leader probabilities within 1e-9 of 0 or 1; it is set to 0
+    # and the rebuild decides.
+    q_rec = np.array([votes[0] if votes else 0.0 for votes in q_votes])
+    vote_spread = max(max(votes) - min(votes) for votes in q_votes if votes)
+    if vote_spread > 1e-9 or q_rec.max() > 1 + _STRUCTURE_TOL:
         return AdmissibilityReport(False)
 
     p_image = Strategy(p_rec.clip(0.0, 1.0))
@@ -182,9 +176,10 @@ def exhaustive_admissible_search(pairs, params: PayoffParams) -> list:
     """All 4x4 permutation matrices admissible for every given (p, q) pair
     under params: structure and payoff both preserved.
 
-    Exhausts the 24 permutations of the memory-1 state space; the expected
-    result is exactly the four J matrices (in particular, no permutation
-    exchanges the two seats).
+    Exhausts the 24 permutations of the memory-1 state space. For interior
+    pairs the expected result is exactly the four J matrices (in particular,
+    no permutation exchanges the two seats); with 0/1 leader probabilities
+    other permutations can pass the per-pair check.
     """
     found = []
     for perm in permutations(range(4)):

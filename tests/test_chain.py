@@ -213,8 +213,9 @@ def test_non_finite_candidate_is_not_a_distribution(memory, bad):
 def test_failed_direct_solve_falls_back_to_the_kernel(monkeypatch, bad):
     # A one-dimensional kernel whose direct solve returns a non-finite
     # candidate or raises still yields the reference distribution, through
-    # the kernel route.
-    real_solve, real_kernel = np.linalg.solve, chain._kernel_distribution
+    # the kernel route, whichever sign the SVD gives the kernel vector.
+    real_solve, real_svd = np.linalg.solve, np.linalg.svd
+    real_kernel = chain._kernel_distribution
     kernel_calls = []
 
     def failing_solve(a, b):
@@ -235,6 +236,17 @@ def test_failed_direct_solve_falls_back_to_the_kernel(monkeypatch, bad):
         expected = _reference_stationary(matrix.entries)
         nu = stationary(matrix)
     assert len(kernel_calls) == 1
+    assert nu.tobytes() == expected.tobytes()
+
+    def flipped_svd(a):
+        u, sing, vt = real_svd(a)
+        return u, sing, -vt
+
+    monkeypatch.setattr(np.linalg, "svd", flipped_svd)
+    with np.errstate(invalid="ignore"):
+        assert _reference_stationary(matrix.entries).tobytes() == expected.tobytes()
+        nu = stationary(matrix)
+    assert len(kernel_calls) == 2
     assert nu.tobytes() == expected.tobytes()
 
 

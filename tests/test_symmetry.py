@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from altpd.chain import build_matrix_direct
+from altpd.chain import build_matrix_direct, stationary
+from altpd.errors import NonUniqueStationaryError
 from altpd.strategy import PayoffParams, Strategy, random_strategy
 from altpd.symmetry import (
     J_BASE,
@@ -107,6 +108,40 @@ def test_non_admissible_permutation_detected():
     swap_first_two = np.eye(4)[[1, 0, 2, 3]]
     p, q = random_strategy(1, RNG), random_strategy(1, RNG)
     assert not verify_admissibility(swap_first_two, p, q, PARAMS).admissible
+    # At memory 2 the conjugated matrix has entries off the successor
+    # pattern, where the rebuild from the recovered pair is zero.
+    rng = np.random.default_rng(2)
+    swap = np.eye(16)[[1, 0, *range(2, 16)]]
+    shuffle = np.eye(16)[rng.permutation(16)]
+    assert not any(np.array_equal(shuffle, j) for j in build_admissible(2).values())
+    for _ in range(5):
+        p, q = random_strategy(2, rng), random_strategy(2, rng)
+        for j in (swap, shuffle):
+            assert not verify_admissibility(j, p, q, PARAMS).admissible
+
+
+def test_deterministic_leaders_are_decided_by_the_rebuild(pair_corpus):
+    # All-C, all-D and tit-for-tat leaders play C with probability 0 or 1,
+    # so some follower entries are never voted for; the relabeled pair is
+    # still recovered, and only a non-unique stationary payoff stops it.
+    unique = 0
+    for memory, kind, p, q in pair_corpus:
+        if kind != "preset" or memory > 2:
+            continue
+        try:
+            stationary(build_matrix_direct(p, q))
+        except NonUniqueStationaryError:
+            for j in build_admissible(memory).values():
+                with pytest.raises(NonUniqueStationaryError):
+                    verify_admissibility(j, p, q, PARAMS)
+            continue
+        unique += 1
+        for which, j in build_admissible(memory).items():
+            report = verify_admissibility(j, p, q, PARAMS)
+            assert report.admissible, (memory, which)
+            expected_p, expected_q = conjugation_action(p, q, which)
+            assert np.array_equal(report.p_image.probs, expected_p.probs)
+    assert 0 < unique < 18
 
 
 def test_rejects_non_permutation_input():
