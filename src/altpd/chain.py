@@ -146,10 +146,10 @@ def stationary(matrix: TransitionMatrix) -> np.ndarray:
     Solves (M^T - I) nu = 0 with its last equation replaced by sum(nu) = 1.
     The rows of M^T - I sum to zero, so the other rows span its row space,
     the orthogonal complement of its kernel; that kernel holds a stationary
-    distribution, which is not orthogonal to the ones row. The system is therefore nonsingular exactly
-    when the kernel is one-dimensional, and the SVD of M^T - I guards only a
-    solve that fails in floating point: a numerically one-dimensional kernel
-    still yields the distribution, a wider one raises
+    distribution, which is not orthogonal to the ones row. So the system is
+    nonsingular exactly when the kernel is one-dimensional, and the SVD of
+    M^T - I guards only a solve that fails in floating point: a numerically
+    one-dimensional kernel still yields the distribution, a wider one raises
     NonUniqueStationaryError.
     """
     m = matrix.entries

@@ -139,7 +139,7 @@ def test_deterministic_leaders_are_decided_by_the_rebuild(pair_corpus):
         for which, j in build_admissible(memory).items():
             report = verify_admissibility(j, p, q, PARAMS)
             assert report.admissible, (memory, which)
-            expected_p, expected_q = conjugation_action(p, q, which)
+            expected_p, _ = conjugation_action(p, q, which)
             assert np.array_equal(report.p_image.probs, expected_p.probs)
     assert 0 < unique < 18
 
