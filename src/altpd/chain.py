@@ -26,8 +26,6 @@ __all__ = [
     "is_irreducible",
 ]
 
-_NULL_SPACE_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class TransitionMatrix:
@@ -143,25 +141,27 @@ def _identity(n: int) -> np.ndarray:
 def stationary(matrix: TransitionMatrix) -> np.ndarray:
     """Stationary distribution nu with nu^T M = nu^T and sum(nu) = 1.
 
-    Solves (M^T - I) nu = 0 with its last equation replaced by sum(nu) = 1.
-    The rows of M^T - I sum to zero, so the other rows span its row space,
-    the orthogonal complement of its kernel; that kernel holds a stationary
-    distribution, which is not orthogonal to the ones row. So the system is
-    nonsingular exactly when the kernel is one-dimensional, and the SVD of
-    M^T - I guards only a solve that fails in floating point: a numerically
-    one-dimensional kernel still yields the distribution, a wider one raises
-    NonUniqueStationaryError.
+    It is unique exactly when the support digraph of M, in which every
+    positive entry, however tiny, is an edge, has one closed class: that
+    count is the multiplicity of eigenvalue 1 (Kemeny & Snell 1960, "Finite
+    Markov Chains"). Two or more raise NonUniqueStationaryError before any
+    solve; with no zero successor-pattern entry the support holds the
+    strongly connected successor digraph, so the count is skipped. Then
+    (M^T - I) nu = 0, its last row replaced by sum(nu) = 1, is solved; a
+    failed solve or residual test raises NonUniqueStationaryError too.
     """
     m = matrix.entries
+    if m.take(_pattern(matrix.memory)[0]).min() <= 0.0 and _closed_classes(m) > 1:
+        raise NonUniqueStationaryError("two or more closed classes")
     eye = _identity(m.shape[0])
     a = m.T - eye
     a[-1, :] = 1.0
     try:
         nu = np.linalg.solve(a, eye[-1])
     except np.linalg.LinAlgError:
-        nu = None
-    if nu is None or not _is_distribution(nu, m):
-        nu = _kernel_distribution(m)
+        raise NonUniqueStationaryError("stationary solve failed") from None
+    if not _is_distribution(nu, m):
+        raise NonUniqueStationaryError("stationary solve failed")
     nu = nu.clip(min=0.0)
     return nu / nu.sum()
 
@@ -174,19 +174,24 @@ def _is_distribution(nu: np.ndarray, m: np.ndarray) -> bool:
     return np.abs(nu @ m - nu).max() < 1e-10
 
 
-def _kernel_distribution(m: np.ndarray) -> np.ndarray:
-    _, sing, vt = np.linalg.svd(m.T - _identity(m.shape[0]))
-    null_dim = int(np.sum(sing < _NULL_SPACE_TOL))
-    if null_dim != 1:
-        raise NonUniqueStationaryError("non-unique stationary distribution")
-    nu = vt[-1]
-    total = nu.sum()
-    if abs(total) < 1e-12:
-        raise NonUniqueStationaryError("non-unique stationary distribution")
-    nu = nu / total
-    if not _is_distribution(nu, m):
-        raise NonUniqueStationaryError("non-unique stationary distribution")
-    return nu
+def _reach(m: np.ndarray) -> np.ndarray:
+    """Transitive closure of the support digraph ((i, j) is True when positive
+    transitions lead from i to j), by squaring until it stops changing."""
+    reach = m > 0.0
+    while True:
+        walk = reach.astype(float)
+        wider = reach | (walk @ walk > 0.0)
+        if np.array_equal(wider, reach):
+            return reach
+        reach = wider
+
+
+def _closed_classes(m: np.ndarray) -> int:
+    """Closed classes of the support digraph: the distinct sets that recurrent
+    states reach (a state is recurrent when all it reaches reaches it back)."""
+    reach = _reach(m)
+    recurrent = ~(reach & ~reach.T).any(axis=1)
+    return len({row.tobytes() for row in reach[recurrent]})
 
 
 def perturb_strategies(p: Strategy, q: Strategy, eps: float):
@@ -201,17 +206,4 @@ def perturb_strategies(p: Strategy, q: Strategy, eps: float):
 
 def is_irreducible(matrix: TransitionMatrix) -> bool:
     """Strong connectivity of the digraph of positive transitions."""
-    adj = matrix.entries > 0.0
-    return _reaches_all(adj) and _reaches_all(adj.T)
-
-
-def _reaches_all(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = adj[frontier].any(axis=0) & ~seen
-        seen |= nxt
-        frontier = list(np.flatnonzero(nxt))
-    return bool(seen.all())
+    return bool(_reach(matrix.entries).all())

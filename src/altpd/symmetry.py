@@ -17,6 +17,7 @@ from itertools import permutations
 import numpy as np
 
 from .chain import TransitionMatrix, build_matrix_direct, stationary
+from .errors import NonUniqueStationaryError
 from .payoff import build_payoff_vector
 from .strategy import (
     PayoffParams,
@@ -95,6 +96,9 @@ def conjugation_action(p: Strategy, q: Strategy, which: int):
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
+    """payoff_error is NaN where the chain has no unique stationary distribution:
+    a relabeling keeps its closed classes, so neither payoff exists."""
+
     admissible: bool
     p_image: Strategy = None
     q_image: Strategy = None
@@ -127,7 +131,7 @@ def verify_admissibility(
     matrix from the recovered pair, and compares every entry, off the
     successor pattern too, within 1e-12. Then checks payoff invariance under
     params of the transformed triple (J nu, J M J^T, J f) against the
-    original within 1e-10.
+    original within 1e-10, where that payoff exists.
     """
     perm = _permutation_of(j)
     matrix = build_matrix_direct(p, q)
@@ -164,7 +168,10 @@ def verify_admissibility(
         return AdmissibilityReport(False, structure_error=structure_error)
 
     f = build_payoff_vector(params, matrix.memory)
-    original = stationary(matrix) @ f
+    try:
+        original = stationary(matrix) @ f
+    except NonUniqueStationaryError:
+        return AdmissibilityReport(True, p_image, q_image, structure_error, np.nan)
     transformed = stationary(TransitionMatrix(matrix.memory, x)) @ f[perm]
     payoff_error = float(abs(original - transformed))
     if payoff_error > 1e-10:

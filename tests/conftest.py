@@ -10,8 +10,9 @@ from altpd.strategy import Strategy, all_c, all_d, tit_for_tat
 def pair_corpus():
     """(memory, kind, p, q) at N = 1, 2, 3: the nine all-C/all-D/tit-for-tat
     preset pairs, then random pairs, pairs rounded to k/1024 and 0/1 corner
-    pairs. The presets and corners include reducible chains, so both the
-    stationary solve's kernel fallback and its errors are reached."""
+    pairs, 252 in all. The presets and corners include reducible chains,
+    with one closed class or with several, so both the stationary solve and
+    its closed-class refusal are reached."""
     rng = np.random.default_rng(5)
     presets = (all_c, all_d, tit_for_tat)
     corpus = []

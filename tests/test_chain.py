@@ -13,10 +13,12 @@ from altpd.chain import (
     perturb_strategies,
     stationary,
 )
-from altpd.errors import NonUniqueStationaryError
-from altpd.strategy import Strategy, all_c, all_d, random_strategy
+from altpd.errors import NonUniqueStationaryError, SingularPayoffError
+from altpd.payoff import payoff_by_determinant
+from altpd.strategy import PayoffParams, Strategy, all_c, all_d, random_strategy
 
 RNG = np.random.default_rng(0)
+PARAMS = PayoffParams(b=1.0, c=0.3)
 
 
 def _memory_one_reference(p, q):
@@ -150,9 +152,37 @@ def _reference_is_distribution(nu, m):
     return np.abs(nu @ m - nu).max() < 1e-10
 
 
+def _reference_reach(adj):
+    """Reachability by breadth-first search from every state: row i marks
+    the states that a path of one or more edges leads to from i."""
+    n = adj.shape[0]
+    reach = np.zeros((n, n), dtype=bool)
+    for start in range(n):
+        frontier = [start]
+        while frontier:
+            nxt = adj[frontier].any(axis=0) & ~reach[start]
+            reach[start] |= nxt
+            frontier = list(np.flatnonzero(nxt))
+    return reach
+
+
+def _reference_closed_classes(m):
+    """States that every state they reach reaches back, each counted when it
+    is the lowest state it reaches: one count per closed class."""
+    reach = _reference_reach(m > 0.0)
+    count = 0
+    for i in range(m.shape[0]):
+        reached = np.flatnonzero(reach[i])
+        count += all(reach[j, i] for j in reached) and reached[0] == i
+    return count
+
+
 def _reference_stationary(m):
     """The stationary solve written out with a fresh identity for each
-    M^T - I, a zeros right-hand side and a separate finiteness pass."""
+    M^T - I, a zeros right-hand side and a separate finiteness pass, behind
+    the closed-class count of a breadth-first search."""
+    if _reference_closed_classes(m) > 1:
+        raise NonUniqueStationaryError("closed classes")
     n = m.shape[0]
     a = m.T - np.eye(n)
     a[-1, :] = 1.0
@@ -161,18 +191,9 @@ def _reference_stationary(m):
     try:
         nu = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
-        nu = None
-    if nu is None or not _reference_is_distribution(nu, m):
-        _, sing, vt = np.linalg.svd(m.T - np.eye(n))
-        if int(np.sum(sing < 1e-10)) != 1:
-            raise NonUniqueStationaryError("kernel dimension")
-        nu = vt[-1]
-        total = nu.sum()
-        if abs(total) < 1e-12 or nu.min() * np.sign(total) < -1e-12 * abs(total):
-            raise NonUniqueStationaryError("kernel sign")
-        nu = nu / total
-        if not _reference_is_distribution(nu, m):
-            raise NonUniqueStationaryError("kernel residual")
+        raise NonUniqueStationaryError("solve") from None
+    if not _reference_is_distribution(nu, m):
+        raise NonUniqueStationaryError("residual")
     nu = nu.clip(min=0.0)
     return nu / nu.sum()
 
@@ -192,7 +213,48 @@ def test_stationary_matches_the_reference_solve_bit_for_bit(pair_corpus):
         expected = _outcome(_reference_stationary, matrix.entries)
         assert _outcome(stationary, matrix) == expected, (memory, kind)
         raised += expected is NonUniqueStationaryError
-    assert raised > 0
+    assert raised == 55
+
+
+def test_two_closed_classes_raise_though_the_solve_passes(pair_corpus):
+    # Entry 232 has closed classes of 9 and 2 states. The bordered solve is
+    # singular in exact arithmetic, yet in floating point it returns a
+    # candidate that passes the residual test and splits 0.629 / 0.371
+    # between the classes.
+    memory, kind, p, q = pair_corpus[232]
+    assert (memory, kind) == (3, "corner")
+    matrix = build_matrix_direct(p, q)
+    assert _reference_closed_classes(matrix.entries) == 2
+    with pytest.raises(NonUniqueStationaryError):
+        stationary(matrix)
+
+
+def test_closed_class_count_decides_the_determinant_route(pair_corpus):
+    # The multiplicity of eigenvalue 1 is the closed-class count, so the
+    # determinant's denominator vanishes exactly where there are two or more.
+    multichain = 0
+    for memory, kind, p, q in pair_corpus:
+        matrix = build_matrix_direct(p, q)
+        count = chain._closed_classes(matrix.entries)
+        assert count == _reference_closed_classes(matrix.entries), (memory, kind)
+        try:
+            payoff_by_determinant(p, q, PARAMS, matrix)
+            singular = False
+        except SingularPayoffError:
+            singular = True
+        assert singular == (count >= 2), (memory, kind)
+        multichain += singular
+    assert multichain == 55
+
+
+def test_irreducibility_matches_a_breadth_first_search(pair_corpus):
+    irreducible = 0
+    for memory, kind, p, q in pair_corpus:
+        matrix = build_matrix_direct(p, q)
+        expected = bool(_reference_reach(matrix.entries > 0.0).all())
+        assert is_irreducible(matrix) == expected, (memory, kind)
+        irreducible += expected
+    assert 0 < irreducible < len(pair_corpus)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -210,13 +272,10 @@ def test_non_finite_candidate_is_not_a_distribution(memory, bad):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "raise"])
-def test_failed_direct_solve_falls_back_to_the_kernel(monkeypatch, bad):
-    # A one-dimensional kernel whose direct solve returns a non-finite
-    # candidate or raises still yields the reference distribution, through
-    # the kernel route, whichever sign the SVD gives the kernel vector.
-    real_solve, real_svd = np.linalg.solve, np.linalg.svd
-    real_kernel = chain._kernel_distribution
-    kernel_calls = []
+def test_failed_direct_solve_raises(monkeypatch, bad):
+    # A one-class chain whose direct solve raises or returns a non-finite
+    # candidate has no other route to its distribution.
+    real_solve = np.linalg.solve
 
     def failing_solve(a, b):
         if bad == "raise":
@@ -225,29 +284,11 @@ def test_failed_direct_solve_falls_back_to_the_kernel(monkeypatch, bad):
         nu[1] = bad
         return nu
 
-    def kernel(m):
-        kernel_calls.append(m)
-        return real_kernel(m)
-
     matrix = build_matrix_direct(random_strategy(2, RNG), random_strategy(2, RNG))
+    assert _reference_closed_classes(matrix.entries) == 1
     monkeypatch.setattr(np.linalg, "solve", failing_solve)
-    monkeypatch.setattr(chain, "_kernel_distribution", kernel)
-    with np.errstate(invalid="ignore"):
-        expected = _reference_stationary(matrix.entries)
-        nu = stationary(matrix)
-    assert len(kernel_calls) == 1
-    assert nu.tobytes() == expected.tobytes()
-
-    def flipped_svd(a):
-        u, sing, vt = real_svd(a)
-        return u, sing, -vt
-
-    monkeypatch.setattr(np.linalg, "svd", flipped_svd)
-    with np.errstate(invalid="ignore"):
-        assert _reference_stationary(matrix.entries).tobytes() == expected.tobytes()
-        nu = stationary(matrix)
-    assert len(kernel_calls) == 2
-    assert nu.tobytes() == expected.tobytes()
+    with np.errstate(invalid="ignore"), pytest.raises(NonUniqueStationaryError):
+        stationary(matrix)
 
 
 # ---- helpers ----

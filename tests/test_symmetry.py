@@ -120,28 +120,47 @@ def test_non_admissible_permutation_detected():
             assert not verify_admissibility(j, p, q, PARAMS).admissible
 
 
+def _has_unique_stationary(p, q):
+    try:
+        stationary(build_matrix_direct(p, q))
+    except NonUniqueStationaryError:
+        return False
+    return True
+
+
 def test_deterministic_leaders_are_decided_by_the_rebuild(pair_corpus):
     # All-C, all-D and tit-for-tat leaders play C with probability 0 or 1,
     # so some follower entries are never voted for; the relabeled pair is
-    # still recovered, and only a non-unique stationary payoff stops it.
+    # still recovered. Where the stationary distribution is not unique the
+    # payoff test does not apply (NaN) and the rebuild alone decides.
     unique = 0
     for memory, kind, p, q in pair_corpus:
         if kind != "preset" or memory > 2:
             continue
-        try:
-            stationary(build_matrix_direct(p, q))
-        except NonUniqueStationaryError:
-            for j in build_admissible(memory).values():
-                with pytest.raises(NonUniqueStationaryError):
-                    verify_admissibility(j, p, q, PARAMS)
-            continue
-        unique += 1
+        has_payoff = _has_unique_stationary(p, q)
+        unique += has_payoff
         for which, j in build_admissible(memory).items():
             report = verify_admissibility(j, p, q, PARAMS)
             assert report.admissible, (memory, which)
+            assert np.isnan(report.payoff_error) != has_payoff, (memory, which)
             expected_p, _ = conjugation_action(p, q, which)
             assert np.array_equal(report.p_image.probs, expected_p.probs)
     assert 0 < unique < 18
+
+
+def test_exhaustive_search_answers_on_multichain_corners(pair_corpus):
+    # 0/1 corner pairs at memory 1 whose chain has two or more closed
+    # classes: no payoff exists, the search still returns its list, and the
+    # four relabelings are in it.
+    four = {(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)}
+    multichain = 0
+    for memory, kind, p, q in pair_corpus:
+        if memory != 1 or kind != "corner" or _has_unique_stationary(p, q):
+            continue
+        multichain += 1
+        found = exhaustive_admissible_search([(p, q)], PARAMS)
+        assert four <= set(found), (p.probs, q.probs)
+    assert multichain > 0
 
 
 def test_rejects_non_permutation_input():
