@@ -152,7 +152,7 @@ def stationary(matrix: TransitionMatrix) -> np.ndarray:
     """
     m = matrix.entries
     if m.take(_pattern(matrix.memory)[0]).min() <= 0.0 and _closed_classes(m) > 1:
-        raise NonUniqueStationaryError("two or more closed classes")
+        raise NonUniqueStationaryError("non-unique stationary distribution")
     eye = _identity(m.shape[0])
     a = m.T - eye
     a[-1, :] = 1.0

@@ -22,7 +22,7 @@ class DegeneracyError(RuntimeError):
 
 
 class NonUniqueStationaryError(DegeneracyError):
-    """The chain's stationary distribution is not unique."""
+    """The stationary distribution is not unique, or its solve failed."""
 
 
 class SingularPayoffError(DegeneracyError):

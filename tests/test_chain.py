@@ -248,8 +248,10 @@ def test_closed_class_count_decides_the_determinant_route(pair_corpus):
 
 
 def test_irreducibility_matches_a_breadth_first_search(pair_corpus):
+    # The extra pair has two absorbing states, yet every state is entered.
+    s = Strategy(np.array([1.0, 0.5, 0.5, 0.0]))
     irreducible = 0
-    for memory, kind, p, q in pair_corpus:
+    for memory, kind, p, q in [*pair_corpus, (1, "two absorbing", s, s)]:
         matrix = build_matrix_direct(p, q)
         expected = bool(_reference_reach(matrix.entries > 0.0).all())
         assert is_irreducible(matrix) == expected, (memory, kind)
