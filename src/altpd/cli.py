@@ -35,7 +35,7 @@ from .strategy import (
 __all__ = ["RunConfig", "main"]
 
 
-# At this grid `altpd torus` took 7.7-9.9 s and peaked at 138 MB RSS on a
+# At this grid `altpd torus` took 4.4-7.6 s and peaked at 96 MB RSS on a
 # 2-vCPU x86 host (1,000,000 field samples, a 76 MB field CSV written line
 # by line); both grow with grid^2.
 _MAX_GRID = 1000
@@ -68,7 +68,7 @@ class RunConfig:
     grid: int = _option(
         40,
         f"field grid resolution, 2 to {_MAX_GRID} (grid^2 field samples; "
-        f"{_MAX_GRID} takes about 9 s and 140 MB)",
+        f"{_MAX_GRID} takes about 6 s and 100 MB)",
     )
     p: str = _option(None, "leader strategy: floats, allc, alld, tft, random:SEED")
     q: str = _option(None, "follower strategy, same forms as --p")

@@ -12,7 +12,8 @@ point with abs(A) < 1e-14 (the modulus on the Jacobian's complex-step
 input), or with A not finite, is refused. The two kernel entry points
 apply it, _field_scalar by raising FieldSingularError and _field_array by
 returning NaN, and every route obeys them: the field, the Jacobian and the
-torus field raise, an integrator halts "singular", and a drift row freezes.
+torus field raise, an integrator halts "singular", a drift row freezes and
+a field grid sample is NaN (many real points run on _field_array).
 
 Memory-1 trajectories conserve (x1-1)^2 + x3^2 and (x2-1)^2 + x4^2, so the
 flow lives on two-dimensional tori inside the cube.

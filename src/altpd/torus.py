@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _field_scalar, _levels, _march
+from .dynamics import _field_array, _field_scalar, _levels, _march
 from .errors import DegenerateTorusError, FieldSingularError
 from .strategy import PayoffParams, _step_count
 
@@ -160,19 +160,24 @@ def toric_denominator(phi, psi, level: TorusLevel):
     return 4.0 * first * second**2
 
 
-def _angle_rates(phi, psi, u, v, b, c):
-    """(phi_dot, psi_dot) at wrapped angles on the torus of radii (u, v).
+def _pushforward(s1, c1, s2, c2, u, v, g):
+    """(phi_dot, psi_dot) from the cube field g at angles with sines s1, s2,
+    cosines c1, c2: floats for one point, arrays for a field_grid row."""
+    g1, g2, g3, g4 = g
+    return (c1 * g1 - s1 * g3) / u, (c2 * g2 - s2 * g4) / v
 
-    Maps the angles to the cube, evaluates the scalar memory-1 kernel
-    there and pushes the field forward. The kernel's FieldSingularError
-    passes through where it refuses the cube point. The toric denominator
-    is G = 4 A / (C1 C2) for the cube denominator A, with C1, C2 <= 2, so
-    |A| <= |G| and the refusal covers every point where |G| < 1e-14.
+
+def _angle_rates(phi, psi, u, v, b, c):
+    """(phi_dot, psi_dot) at wrapped angles on the torus of radii (u, v),
+    pushed forward from the scalar kernel, whose FieldSingularError passes
+    through. The toric denominator is G = 4 A / (C1 C2) for the cube
+    denominator A, with C1, C2 <= 2, so |A| <= |G| and the refusal covers
+    every point where |G| < 1e-14.
     """
     s1, c1 = math.sin(phi), math.cos(phi)
     s2, c2 = math.sin(psi), math.cos(psi)
-    g1, g2, g3, g4 = _field_scalar(1.0 + u * s1, 1.0 + v * s2, u * c1, v * c2, b, c)
-    return (c1 * g1 - s1 * g3) / u, (c2 * g2 - s2 * g4) / v
+    g = _field_scalar(1.0 + u * s1, 1.0 + v * s2, u * c1, v * c2, b, c)
+    return _pushforward(s1, c1, s2, c2, u, v, g)
 
 
 def torus_field(pt: TorusPoint, params: PayoffParams) -> tuple:
@@ -389,22 +394,22 @@ def field_grid(level: TorusLevel, params: PayoffParams, resolution: int):
     over [0, 2pi)^2 (the CLI's --grid sets resolution).
 
     Returns (phi, psi, phi_dot, psi_dot) flat arrays of length
-    resolution^2; samples the field kernel refuses carry NaN (among them
-    every sample where the toric denominator vanishes).
+    resolution^2, phi varying slowest. Each row runs on the array kernel,
+    so samples match torus_field bit for bit and carry NaN where it raises.
     """
     ticks = np.linspace(0.0, _TWO_PI, resolution, endpoint=False)
-    phi_grid, psi_grid = np.meshgrid(ticks, ticks, indexing="ij")
-    phi_flat = phi_grid.ravel()
-    psi_flat = psi_grid.ravel()
-    fphi = np.empty(phi_flat.size)
-    fpsi = np.empty(phi_flat.size)
+    sines = np.array([math.sin(t) for t in ticks.tolist()])
+    cosines = np.array([math.cos(t) for t in ticks.tolist()])
     u, v = math.sqrt(level.c1), math.sqrt(level.c2)
-    for i, (ph, ps) in enumerate(zip(phi_flat.tolist(), psi_flat.tolist())):
-        try:
-            fphi[i], fpsi[i] = _angle_rates(ph, ps, u, v, params.b, params.c)
-        except FieldSingularError:
-            fphi[i] = fpsi[i] = math.nan
-    return phi_flat, psi_flat, fphi, fpsi
+    y = np.empty((4, resolution))
+    y[1], y[3] = 1.0 + v * sines, v * cosines
+    fphi, fpsi = np.empty((2, resolution, resolution))
+    for i, (s1, c1) in enumerate(zip(sines.tolist(), cosines.tolist())):
+        y[0], y[2] = 1.0 + u * s1, u * c1
+        g = _field_array(y, params.b, params.c)
+        fphi[i], fpsi[i] = _pushforward(s1, c1, sines, cosines, u, v, g)
+    phi_grid, psi_grid = np.meshgrid(ticks, ticks, indexing="ij")
+    return phi_grid.ravel(), psi_grid.ravel(), fphi.ravel(), fpsi.ravel()
 
 
 def denominator_zero_segments(level: TorusLevel) -> np.ndarray:

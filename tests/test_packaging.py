@@ -80,11 +80,17 @@ def test_only_the_field_kernels_read_the_singularity_threshold():
 
 
 def test_only_real_batches_reach_the_array_kernel():
-    # jacobian takes its complex step on the scalar kernel; the array
-    # kernel serves only field_closed_form batches and the drift block, so
-    # complex input cannot come back to it.
+    # Many real points go to the array kernel: field_closed_form batches,
+    # the drift block and the torus field grid. One point or a complex
+    # step (jacobian) goes to the scalar kernel, so complex input cannot
+    # come back to the array kernel. (torus.py, None) is torus's import.
     callers = {reader for path in SOURCES for reader in _reads_of("_field_array", path)}
-    assert callers == {("dynamics.py", "field_closed_form"), ("dynamics.py", "conservation_drift")}
+    assert callers == {
+        ("dynamics.py", "field_closed_form"),
+        ("dynamics.py", "conservation_drift"),
+        ("torus.py", None),
+        ("torus.py", "field_grid"),
+    }
 
 
 def _history_shifts(path):

@@ -631,19 +631,26 @@ class TestTrajectory:
 
 class TestGridExports:
     def test_field_grid_matches_pointwise_pushforward(self):
-        c, c1, c2 = PANEL_B
-        params = PayoffParams(1.0, c)
-        level = TorusLevel(c1, c2)
-        phi, psi, f1, f2 = field_grid(level, params, resolution=40)
-        want = np.empty((phi.size, 2))
-        for k in range(phi.size):
-            try:
-                want[k] = reference_rates(phi[k], psi[k], level, params)
-            except FieldSingularError:
-                want[k] = math.nan
-        assert np.isnan(want[:, 0]).any()
-        assert np.array_equal(f1, want[:, 0], equal_nan=True)
-        assert np.array_equal(f2, want[:, 1], equal_nan=True)
+        # Bit for bit, NaN positions included, at two levels and two
+        # resolutions, so a slip at a row edge or a wrong tick shows.
+        params = PayoffParams(1.0, PANEL_B[0])
+        refused = 0
+        for level in (TorusLevel(*PANEL_B[1:]), TorusLevel(1.3, 1.1)):
+            for resolution in (40, 97):
+                phi, psi, f1, f2 = field_grid(level, params, resolution=resolution)
+                ticks = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
+                assert np.array_equal(phi, np.repeat(ticks, resolution))
+                assert np.array_equal(psi, np.tile(ticks, resolution))
+                want = np.empty((phi.size, 2))
+                for k in range(phi.size):
+                    try:
+                        want[k] = reference_rates(phi[k], psi[k], level, params)
+                    except FieldSingularError:
+                        want[k] = math.nan
+                refused += int(np.isnan(want[:, 0]).sum())
+                assert np.array_equal(f1, want[:, 0], equal_nan=True)
+                assert np.array_equal(f2, want[:, 1], equal_nan=True)
+        assert refused > 0
 
     def test_field_grid_shapes_and_masking(self):
         c, c1, c2 = PANEL_B

@@ -107,7 +107,7 @@ CASES = [
     ("array-field-kernel", altpd.dynamics, "_field_array", _scale_g1_rows, 1,
      {"field kernel agreement"}),
     ("scalar-field-kernel", altpd.dynamics, "_field_scalar", _scale_g1, 1,
-     {"conservation", "field kernel agreement"}),
+     {"conservation", "field kernel agreement", "torus commuting diagram"}),
     ("to-cube", altpd.verify, "to_cube", _shift_x1, 1, {"torus commuting diagram"}),
     ("stationary-payoff", altpd.verify, "payoff_by_stationary", _offset, 1,
      {"payoff cross-check", "oracle agreement"}),
