@@ -35,7 +35,7 @@ from .strategy import (
 __all__ = ["RunConfig", "main"]
 
 
-# At this grid `altpd torus` took 4.4-7.6 s and peaked at 96 MB RSS on a
+# At this grid `altpd torus` took 4.8-6.6 s and peaked at 65 MB RSS on a
 # 2-vCPU x86 host (1,000,000 field samples, a 76 MB field CSV written line
 # by line); both grow with grid^2.
 _MAX_GRID = 1000
@@ -68,7 +68,7 @@ class RunConfig:
     grid: int = _option(
         40,
         f"field grid resolution, 2 to {_MAX_GRID} (grid^2 field samples; "
-        f"{_MAX_GRID} takes about 6 s and 100 MB)",
+        f"{_MAX_GRID} takes about 5 s and 65 MB)",
     )
     p: str = _option(None, "leader strategy: floats, allc, alld, tft, random:SEED")
     q: str = _option(None, "follower strategy, same forms as --p")
@@ -206,16 +206,16 @@ def _json_pretty(value):
     yield "\n"
 
 
-def _json_table(head: dict, key: str, header: list, table: np.ndarray):
+def _json_table(head: dict, key: str, header: list, columns):
     """The chunks of _json_pretty({**head, key: rows}), where rows holds one
-    {header[j]: row[j]} object per row of table. The rows are formatted as
-    the encoder would, from _rows' chunks of the table, so no list of row
-    objects is held; table must have at least one row."""
+    {header[j]: row[j]} object per row of the side-by-side columns. The
+    rows are formatted as the encoder would, from _rows' chunks, so no list
+    of row objects is held; the columns must have at least one row."""
     before, after = "".join(_json_pretty({**head, key: []})).rsplit("[]", 1)
     names = ["\n      " + json.dumps(name) + ": " for name in header]
     separator = "[\n    {"
     yield before
-    for row in _rows(table):
+    for row in _rows(columns):
         # repr is the encoder's float format; _plain writes non-finite as null.
         values = (repr(v) if math.isfinite(v) else "null" for v in row)
         yield separator + ",".join(map(str.__add__, names, values)) + "\n    }"
@@ -232,14 +232,16 @@ def _csv_lines(provenance: dict, header: list, rows):
     yield ",".join(header) + "\n"
     for row in rows:
         # str of a float or a numpy float64 is its shortest round-trip repr.
-        yield ",".join(str(v) for v in row) + "\n"
+        yield ",".join(map(str, row)) + "\n"
 
 
-def _rows(table: np.ndarray):
-    """Rows of a 2-D array as lists of Python floats, converted 4096 rows
-    at a time."""
-    for start in range(0, len(table), 4096):
-        yield from table[start : start + 4096].tolist()
+def _rows(columns):
+    """Rows of the side-by-side columns (1-D arrays, or 2-D blocks of
+    several columns) as lists of Python floats, stacked and converted 4096
+    rows at a time, so no copy of the whole table is made."""
+    for start in range(0, len(columns[0]), 4096):
+        chunk = [column[start : start + 4096] for column in columns]
+        yield from np.column_stack(chunk).tolist()
 
 
 def _write(path: str, chunks) -> None:
@@ -316,7 +318,6 @@ def _run_integrate(config: RunConfig) -> int:
     else:
         drift1 = drift2 = math.nan
         header = ["t"] + [f"x{i + 1}" for i in range(states.shape[1])]
-    table = np.column_stack(columns)
     summary = {
         "config": config.to_dict(),
         "status": trajectory.status,
@@ -327,15 +328,14 @@ def _run_integrate(config: RunConfig) -> int:
         "final_state": trajectory.final,
     }
     if config.format == "json":
-        _write(config.out, _json_table(summary, "trajectory", header, table))
-        if config.out not in (None, "-"):
-            _write(None, _json_pretty(summary))
-        return 0
-    _write(config.out, _csv_lines(config.to_dict(), header, _rows(table)))
-    if config.out in (None, "-"):
-        sys.stdout.write("# summary " + _json_compact(summary) + "\n")
+        chunks = _json_table(summary, "trajectory", header, columns)
     else:
+        chunks = _csv_lines(config.to_dict(), header, _rows(columns))
+    _write(config.out, chunks)
+    if config.out not in (None, "-"):
         _write(None, _json_pretty(summary))
+    elif config.format == "csv":
+        sys.stdout.write("# summary " + _json_compact(summary) + "\n")
     return 0
 
 
@@ -357,9 +357,8 @@ def _run_torus(config: RunConfig) -> int:
     prefix = config.out or "torus"
     provenance = config.to_dict()
 
-    phi, psi, fphi, fpsi = field_grid(level, params, resolution=config.grid)
+    samples = field_grid(level, params, resolution=config.grid)
     field_path = f"{prefix}_field.csv"
-    samples = np.column_stack([phi, psi, fphi, fpsi])
     header = ["phi", "psi", "phi_dot", "psi_dot"]
     _write(field_path, _csv_lines(provenance, header, _rows(samples)))
 
@@ -374,7 +373,7 @@ def _run_torus(config: RunConfig) -> int:
     segments = denominator_zero_segments(level)
     contour_path = f"{prefix}_contour.csv"
     header = ["phi1", "psi1", "phi2", "psi2"]
-    _write(contour_path, _csv_lines(provenance, header, segments))
+    _write(contour_path, _csv_lines(provenance, header, _rows([segments])))
 
     entries = []
     for pt in torus_equilibria(level, params):
