@@ -73,9 +73,11 @@ class RunConfig:
     p: str = _option(None, "leader strategy: floats, allc, alld, tft, random:SEED")
     q: str = _option(None, "follower strategy, same forms as --p")
     format: str = _option(
-        None, "output format: csv or json (default: json for matrix, else csv)"
+        None,
+        "output format of matrix and integrate: csv or json (default: json for "
+        "matrix, csv for integrate); torus and verify ignore it",
     )
-    out: str = _option(None, "output path (matrix/integrate) or prefix (torus)")
+    out: str = _option(None, "output path (matrix/integrate) or prefix (torus); verify ignores it")
 
     def validate(self) -> None:
         self.params  # PayoffParams raises unless 0 < c < b

@@ -1,17 +1,16 @@
 """Relabeling symmetries of the alternating game.
 
-Four permutation matrices commute with the game structure: the identity,
-the follower's C/D flip, the leader's C/D flip, and both flips together
-(the anti-diagonal). They form a group isomorphic to Z2 x Z2 and extend
-from memory 1 to memory N as Kronecker powers. Conjugating a transition
-matrix by one of them yields the transition matrix of the relabeled
-strategy pair, which verify_admissibility recovers and checks.
+Four relabelings commute with the game structure: the identity, the
+follower's C/D flip, the leader's C/D flip, and both. They form Z2 x Z2,
+stated once in _FLIPS; at any memory each maps a history index to its XOR
+with the flipped seats' slots. Conjugating a transition matrix by its
+permutation matrix J yields the matrix of the relabeled strategy pair,
+which verify_admissibility recovers and checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import permutations
 
 import numpy as np
@@ -38,66 +37,50 @@ __all__ = [
 
 _STRUCTURE_TOL = 1e-12  # entry tolerance for the recovered pair and rebuilt matrix
 
-J_BASE = {
-    1: np.eye(4),
-    2: np.array(
-        [[0.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
-    ),
-    3: np.array(
-        [[0.0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
-    ),
-    4: np.array(
-        [[0.0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
-    ),
-}
+# which -> (leader flipped, follower flipped); flips compose by XOR.
+_FLIPS = {1: (False, False), 2: (False, True), 3: (True, False), 4: (True, True)}
+
+
+def _masks(which: int, memory: int):
+    """XOR masks (leader history, follower word) of relabeling `which`: the
+    slots a flipped seat owns in each seat's conditioning word."""
+    try:
+        leader, follower = _FLIPS[which]
+    except (KeyError, TypeError):
+        raise ValueError("which must be one of 1, 2, 3, 4") from None
+    even, odd = _mask_even(memory), _mask_odd(memory)
+    return even * follower | odd * leader, even * leader | odd * follower
 
 
 def build_admissible(memory: int) -> dict:
-    """The four admissible matrices at memory N as Kronecker powers of the
-    memory-1 ones."""
+    """The four admissible permutation matrices at memory N: J maps history
+    h to h XOR the leader-history mask of its flips."""
     if memory < 1:
         raise ValueError("memory must be >= 1")
-    return {
-        which: reduce(np.kron, [base] * memory)
-        for which, base in J_BASE.items()
-    }
+    idx = np.arange(4**memory)
+    return {which: np.eye(idx.size)[idx ^ _masks(which, memory)[0]] for which in _FLIPS}
 
 
 def conjugation_action(p: Strategy, q: Strategy, which: int):
-    """Strategy pair whose transition matrix is J M(p, q) J^T.
-
-    J2 flips the follower's C/D labels (p reindexes the follower slots of
-    its word; q complements and reindexes its own slots), J3 does the same
-    for the leader, J4 composes both, which complements every slot: the
-    reversal map v -> 1 - v reversed.
-    """
-    _shared_memory(p, q)
-    n = p.n_states
-    idx = np.arange(n)
-    if which == 1:
-        return p, q
-    if which == 2:
-        return (
-            Strategy(p.probs[idx ^ _mask_even(p.memory)]),
-            Strategy(1.0 - q.probs[idx ^ _mask_odd(p.memory)]),
-        )
-    if which == 3:
-        return (
-            Strategy(1.0 - p.probs[idx ^ _mask_odd(p.memory)]),
-            Strategy(q.probs[idx ^ _mask_even(p.memory)]),
-        )
-    if which == 4:
-        return (
-            Strategy(1.0 - p.probs[idx ^ (n - 1)]),
-            Strategy(1.0 - q.probs[idx ^ (n - 1)]),
-        )
-    raise ValueError("which must be one of 1, 2, 3, 4")
+    """Strategy pair whose transition matrix is J M(p, q) J^T: each strategy
+    reindexed by its word's mask and complemented if its seat is flipped. J4
+    complements every slot of both, the reversal map v -> 1 - v reversed."""
+    masks = _masks(which, _shared_memory(p, q))
+    if not any(masks):
+        return p, q  # the identity keeps the very objects
+    idx = np.arange(p.n_states)
+    return tuple(
+        Strategy(1.0 - s.probs[idx ^ mask] if flipped else s.probs[idx ^ mask])
+        for s, mask, flipped in zip((p, q), masks, _FLIPS[which])
+    )
 
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """payoff_error is NaN where the chain has no unique stationary distribution:
-    a relabeling keeps its closed classes, so neither payoff exists."""
+    """payoff_error is |nu f - stationary(J M J^T) (J f)|: zero by construction
+    up to roundoff, it measures the solve's permutation-equivariance, not a
+    kept payoff. NaN where the chain has no unique stationary distribution: a
+    relabeling keeps its closed classes, so neither side exists."""
 
     admissible: bool
     p_image: Strategy = None
@@ -122,16 +105,20 @@ def verify_admissibility(
     q: Strategy,
     params: PayoffParams,
 ) -> AdmissibilityReport:
-    """Check that J M(p,q) J^T is again an alternating-game matrix with the
-    same payoff.
+    """Check that J M(p,q) J^T is again an alternating-game matrix, and that
+    the stationary solve is permutation-equivariant on it.
 
     Recovers the candidate strategy pair from the conjugated matrix row by
     row (row sums of the leader half give p'; the quadruple ratios give q',
     each entry up to twice, so agreement is part of the check), rebuilds the
     matrix from the recovered pair, and compares every entry, off the
-    successor pattern too, within 1e-12. Then checks payoff invariance under
-    params of the transformed triple (J nu, J M J^T, J f) against the
-    original within 1e-10, where that payoff exists.
+    successor pattern too, within 1e-12. Then compares nu f with
+    stationary(J M J^T) (J f) under params within 1e-10, where nu exists.
+    Since stationary(J M J^T) = J nu, the two agree by construction: the
+    test fails only when the floating solve is not permutation-equivariant,
+    as a solve tilted by nu_h (1 + 1e-6 h) is not. It is no payoff
+    invariance: under the unpermuted f the relabeled pair's payoff does
+    change (by -0.77 for J2 at one random memory-1 pair).
     """
     perm = _permutation_of(j)
     matrix = build_matrix_direct(p, q)
@@ -190,8 +177,7 @@ def exhaustive_admissible_search(pairs, params: PayoffParams) -> list:
     """
     found = []
     for perm in permutations(range(4)):
-        j = np.zeros((4, 4))
-        j[np.arange(4), perm] = 1.0
+        j = np.eye(4)[list(perm)]
         if all(verify_admissibility(j, p, q, params).admissible for p, q in pairs):
             found.append(perm)
     return found

@@ -93,6 +93,20 @@ def test_only_real_batches_reach_the_array_kernel():
     }
 
 
+def test_only_the_flip_table_reads_the_slot_masks():
+    # The four relabelings are stated once, as symmetry._FLIPS, and
+    # symmetry._masks alone turns a flip into the slots it XORs; a matrix,
+    # strategy action or search that picked its own slots would state the
+    # group again. (symmetry.py, None) is symmetry's import line.
+    readers = {
+        reader
+        for path in SOURCES
+        for name in ("_mask_even", "_mask_odd")
+        for reader in _reads_of(name, path)
+    }
+    assert readers == {("symmetry.py", None), ("symmetry.py", "_masks")}
+
+
 def _history_shifts(path):
     """(file, enclosing top-level function or None) of every left shift of
     a variable, the form history-index arithmetic takes; a shifted constant

@@ -1,13 +1,16 @@
 """Relabeling symmetries: group structure, conjugation, admissibility."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from altpd.chain import build_matrix_direct, stationary
+from altpd.dynamics import win_loss_exchange
 from altpd.errors import NonUniqueStationaryError
 from altpd.strategy import PayoffParams, Strategy, random_strategy
 from altpd.symmetry import (
-    J_BASE,
+    _FLIPS,
     build_admissible,
     conjugation_action,
     exhaustive_admissible_search,
@@ -16,6 +19,21 @@ from altpd.symmetry import (
 
 RNG = np.random.default_rng(0)
 PARAMS = PayoffParams(b=1.0, c=0.3)
+
+# The memory-1 matrices as typed from the paper: an independent reference
+# for build_admissible, which derives them from the flip table.
+J_BASE = {
+    1: np.eye(4),
+    2: np.array(
+        [[0.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    ),
+    3: np.array(
+        [[0.0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    ),
+    4: np.array(
+        [[0.0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+    ),
+}
 
 
 # ---- the matrices ----
@@ -39,12 +57,26 @@ def test_group_is_klein_four():
 
 
 def test_memory_extension_is_kronecker_power():
-    js = build_admissible(2)
-    assert np.array_equal(js[1], np.eye(16))
-    for which in (2, 3, 4):
-        assert np.array_equal(js[which], np.kron(J_BASE[which], J_BASE[which]))
+    for memory in (1, 2, 3, 4):
+        js = build_admissible(memory)
+        assert list(js) == [1, 2, 3, 4]
+        for which, j in js.items():
+            power = reduce(np.kron, [J_BASE[which]] * memory)
+            assert j.dtype == np.float64
+            assert np.array_equal(j, power), (memory, which)
     with pytest.raises(ValueError):
         build_admissible(0)
+
+
+@pytest.mark.parametrize("memory", [1, 2, 3])
+def test_flips_compose_by_xor(memory):
+    # J_a J_b = J_c where c flips each seat that exactly one of a, b flips.
+    js = build_admissible(memory)
+    by_flips = {flips: which for which, flips in _FLIPS.items()}
+    for a, (leader_a, follower_a) in _FLIPS.items():
+        for b, (leader_b, follower_b) in _FLIPS.items():
+            c = by_flips[leader_a ^ leader_b, follower_a ^ follower_b]
+            assert np.array_equal(js[a] @ js[b], js[c]), (a, b)
 
 
 # ---- conjugation ----
@@ -53,6 +85,16 @@ def test_memory_extension_is_kronecker_power():
 def test_identity_fixes_strategies():
     p, q = random_strategy(1, RNG), random_strategy(1, RNG)
     assert conjugation_action(p, q, 1) == (p, q)
+
+
+def test_unknown_relabeling_rejected():
+    p, q = random_strategy(1, RNG), random_strategy(1, RNG)
+    for which in (0, 5, "2", None):
+        with pytest.raises(ValueError, match="which must be one of"):
+            conjugation_action(p, q, which)
+    # The memories are checked first.
+    with pytest.raises(ValueError, match="same memory"):
+        conjugation_action(p, random_strategy(2, RNG), 5)
 
 
 def test_leader_flip_substitution_pattern():
@@ -70,7 +112,7 @@ def test_conjugations_are_involutions():
 
 
 def test_conjugation_matches_matrix_conjugation():
-    for memory in (1, 2):
+    for memory in (1, 2, 3):
         js = build_admissible(memory)
         for _ in range(5):
             p, q = random_strategy(memory, RNG), random_strategy(memory, RNG)
@@ -79,6 +121,15 @@ def test_conjugation_matches_matrix_conjugation():
                 p_image, q_image = conjugation_action(p, q, which)
                 rebuilt = build_matrix_direct(p_image, q_image).entries
                 assert np.max(np.abs(j @ m @ j.T - rebuilt)) < 1e-14
+
+
+@pytest.mark.parametrize("memory", [1, 2])
+def test_both_flips_are_the_win_loss_exchange(memory):
+    # A resident plays both seats; J4 maps it to 1 - x reversed in each.
+    s = random_strategy(memory, RNG)
+    p_image, q_image = conjugation_action(s, s, 4)
+    assert np.array_equal(win_loss_exchange(s.probs), p_image.probs)
+    assert np.array_equal(p_image.probs, q_image.probs)
 
 
 # ---- admissibility ----
@@ -97,11 +148,17 @@ def test_all_four_admissible_with_payoff_invariance():
 
 
 def test_report_recovers_the_conjugated_pair():
-    p, q = random_strategy(1, RNG), random_strategy(1, RNG)
-    report = verify_admissibility(J_BASE[4], p, q, PARAMS)
-    expected_p, expected_q = conjugation_action(p, q, 4)
-    assert np.allclose(report.p_image.probs, expected_p.probs)
-    assert np.allclose(report.q_image.probs, expected_q.probs)
+    # Within the module's 1e-12 structure tolerance; at most 1.2e-13 over
+    # 400 random pairs and relabelings at each of N = 1 and 2.
+    for memory in (1, 2, 3):
+        js = build_admissible(memory)
+        for _ in range(3):
+            p, q = random_strategy(memory, RNG), random_strategy(memory, RNG)
+            for which, j in js.items():
+                report = verify_admissibility(j, p, q, PARAMS)
+                expected_p, expected_q = conjugation_action(p, q, which)
+                assert np.max(np.abs(report.p_image.probs - expected_p.probs)) < 1e-12
+                assert np.max(np.abs(report.q_image.probs - expected_q.probs)) < 1e-12
 
 
 def test_non_admissible_permutation_detected():

@@ -14,6 +14,7 @@ import pytest
 
 import altpd.dynamics
 import altpd.payoff
+import altpd.symmetry
 import altpd.verify
 from altpd.chain import TransitionMatrix
 from altpd.verify import run_suite
@@ -104,6 +105,10 @@ CASES = [
     ("recursive-matrix", altpd.verify, "build_matrix_recursive", _swap_in_row_3, 1,
      {"construction equivalence"}),
     ("stationary-tilted", altpd.payoff, "stationary", _tilt, 1, {"payoff cross-check"}),
+    # verify_admissibility's payoff test holds by construction for an
+    # equivariant solve, so only a solve that is not equivariant fails it.
+    ("symmetry-stationary-tilted", altpd.symmetry, "stationary", _tilt, 1,
+     {"symmetry conjugation"}),
     ("array-field-kernel", altpd.dynamics, "_field_array", _scale_g1_rows, 1,
      {"field kernel agreement"}),
     ("scalar-field-kernel", altpd.dynamics, "_field_scalar", _scale_g1, 1,
