@@ -167,8 +167,8 @@ def verify_admissibility(
 
 
 def exhaustive_admissible_search(pairs, params: PayoffParams) -> list:
-    """All 4x4 permutation matrices admissible for every given (p, q) pair
-    under params: structure and payoff both preserved.
+    """All 4x4 permutation matrices that verify_admissibility admits for
+    every given (p, q) pair under params.
 
     Exhausts the 24 permutations of the memory-1 state space. For interior
     pairs the expected result is exactly the four J matrices (in particular,

@@ -149,7 +149,7 @@ def test_all_four_admissible_with_payoff_invariance():
 
 def test_report_recovers_the_conjugated_pair():
     # Within the module's 1e-12 structure tolerance; at most 1.2e-13 over
-    # 400 random pairs and relabelings at each of N = 1 and 2.
+    # 400 pair-relabelings at each of N = 1 and 2 and 80 at N = 3.
     for memory in (1, 2, 3):
         js = build_admissible(memory)
         for _ in range(3):
