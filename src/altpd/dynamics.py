@@ -77,8 +77,8 @@ _DRIFT_BUFFER = 1 << 15
 # A straggler is marched this many steps at a time, so the states kept for
 # its drift stay near 1 MB however long the run.
 _DRIFT_CHUNK = 4096
-# Dormand-Prince 5(4) tableau (Dormand & Prince 1980) and scipy's RK45
-# step-size controller constants.
+# Dormand-Prince 5(4) tableau (Dormand & Prince 1980), scipy's RK45
+# step-size controller constants, and the tolerances integrate runs it at.
 _DP_A = np.array(
     [
         [0, 0, 0, 0, 0],
@@ -97,6 +97,8 @@ _DP_SAFETY = 0.9
 _DP_MIN_FACTOR = 0.2
 _DP_MAX_FACTOR = 10
 _DP_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+_DP_RTOL = 1e-9
+_DP_ATOL = 1e-12
 
 
 def _field_components(x1, x2, x3, x4, b, c, consts):
@@ -399,9 +401,9 @@ def _rms(x):
     return np.linalg.norm(x) / x.size**0.5
 
 
-def _dp45_first_step(f, y0, f0, t_final, rtol, atol):
+def _dp45_first_step(f, y0, f0, t_final):
     """Initial step size (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
-    scale = atol + np.abs(y0) * rtol
+    scale = _DP_ATOL + np.abs(y0) * _DP_RTOL
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -415,7 +417,7 @@ def _dp45_first_step(f, y0, f0, t_final, rtol, atol):
     return min(100 * h0, h1, t_final)
 
 
-def _dp45(f, y0, t_final, rtol, atol, caught):
+def _dp45(f, y0, t_final, caught):
     """Adaptive Dormand-Prince 5(4) loop from t = 0: (times, states, status).
 
     A port of scipy's RK45 as solve_ivp drives it (scipy 1.17), with the
@@ -438,7 +440,7 @@ def _dp45(f, y0, t_final, rtol, atol, caught):
     stages = np.empty((_DP_A.shape[0] + 1, y0.size))
     try:
         fy = f(y)
-        h_abs = _dp45_first_step(f, y, fy, t_final, rtol, atol)
+        h_abs = _dp45_first_step(f, y, fy, t_final)
         while True:
             min_step = 10 * (np.nextafter(t, np.inf) - t)
             h_abs = max(h_abs, min_step)
@@ -454,7 +456,7 @@ def _dp45(f, y0, t_final, rtol, atol, caught):
                 y_new = y + h * np.dot(stages[:-1].T, _DP_B)
                 f_new = f(y_new)
                 stages[-1] = f_new
-                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                scale = _DP_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _DP_RTOL
                 error = _rms(np.dot(stages.T, _DP_E) * h / scale)
                 if error < 1:
                     if error == 0:
@@ -512,7 +514,7 @@ def integrate(
     if method == "rk4":
         return Trajectory(*_march(step, y0, n_steps, dt, caught, _interior))
     if method == "rk45":
-        return Trajectory(*_dp45(lambda y: field(y, params), x0, t_final, 1e-9, 1e-12, caught))
+        return Trajectory(*_dp45(lambda y: field(y, params), x0, t_final, caught))
     raise ValueError("method must be 'rk4' or 'rk45'")
 
 

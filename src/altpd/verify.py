@@ -1,18 +1,19 @@
 """Property suite behind the verify subcommand.
 
-Each check draws its own data from a seeded generator, measures the worst
-deviation, and compares it to a fixed tolerance. Counts are sized for an
-interactive run; the test suite repeats the heavy versions.
+Each check draws its own data from a seeded generator and yields its
+deviations; _result folds them into the worst one and compares it to a
+fixed tolerance, so a NaN deviation fails its check. Counts are sized for
+an interactive run; the test suite repeats the heavy versions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .chain import build_matrix_direct, build_matrix_recursive, stationary
+from .chain import build_matrix_direct, build_matrix_recursive
 from .dynamics import conservation_drift, field_closed_form, integrate
 from .oracle import simulate
 from .payoff import (
@@ -39,90 +40,74 @@ class CheckResult:
     detail: str = ""
 
 
-def _check_stochasticity(rng, memory: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(20):
-        m = build_matrix_direct(random_strategy(memory, rng), random_strategy(memory, rng))
-        worst = max(worst, float(np.max(np.abs(m.entries.sum(axis=1) - 1.0))))
-        worst = max(worst, float(max(0.0, -np.min(m.entries))))
-    return CheckResult("row stochasticity", worst < 1e-12, worst, 1e-12)
+def _result(name: str, deviations, tolerance: float, detail: str = "") -> CheckResult:
+    """Fold a check's deviations: the worst one, with a floor of 0.0, and
+    NaN if any is NaN. It passes strictly below a positive tolerance, and
+    only at exactly 0 for a zero tolerance."""
+    deviations = [0.0, *deviations]
+    worst = math.nan if any(map(math.isnan, deviations)) else max(deviations)
+    passed = worst < tolerance if tolerance > 0 else worst == 0
+    return CheckResult(name, bool(passed), float(worst), tolerance, detail)
 
 
-def _check_construction(rng, memory: int) -> CheckResult:
-    worst = 0.0
-    levels = range(2, max(2, memory) + 1)
-    for n in levels:
-        for _ in range(20):
-            p, q = random_strategy(n, rng), random_strategy(n, rng)
-            direct = build_matrix_direct(p, q).entries
-            recursive = build_matrix_recursive(p, q).entries
-            worst = max(worst, float(np.max(np.abs(direct - recursive))))
-    detail = "memories " + ",".join(str(n) for n in levels)
-    return CheckResult("construction equivalence", worst < 1e-15, worst, 1e-15, detail)
+def _pairs(rng, memories, count: int):
+    """count random strategy pairs at each memory in turn, p drawn before q."""
+    for n in memories:
+        for _ in range(count):
+            yield random_strategy(n, rng), random_strategy(n, rng)
 
 
-def _check_payoff(rng, memory: int, params: PayoffParams) -> CheckResult:
-    worst = 0.0
-    for n in range(1, min(memory, 2) + 1):
-        for _ in range(100):
-            p, q = random_strategy(n, rng), random_strategy(n, rng)
-            worst = max(
-                worst,
-                abs(
-                    payoff_by_determinant(p, q, params)
-                    - payoff_by_stationary(p, q, params)
-                ),
-            )
-    return CheckResult("payoff cross-check", worst < 1e-9, worst, 1e-9)
+def _stochasticity(rng, memory: int):
+    for p, q in _pairs(rng, [memory], 20):
+        m = build_matrix_direct(p, q).entries
+        yield float(np.max(np.abs(m.sum(axis=1) - 1.0)))
+        yield -float(np.min(m))
 
 
-def _check_reversal(memory: int, params: PayoffParams) -> CheckResult:
-    worst = Fraction(0)
+def _construction(rng, levels):
+    for p, q in _pairs(rng, levels, 20):
+        direct = build_matrix_direct(p, q).entries
+        yield float(np.max(np.abs(direct - build_matrix_recursive(p, q).entries)))
+
+
+def _payoff(rng, memory: int, params: PayoffParams):
+    for p, q in _pairs(rng, range(1, min(memory, 2) + 1), 100):
+        yield abs(payoff_by_determinant(p, q, params) - payoff_by_stationary(p, q, params))
+
+
+def _reversal(memory: int, params: PayoffParams):
+    # Exact Fractions: the fold compares them to 0 before any rounding.
     for n in range(1, max(memory, 2) + 1):
-        worst = max(worst, _reversal_gap(_exact_payoff_vector(params, n), params))
-    return CheckResult(
-        "reversal identity", worst == 0, float(worst), 0.0, "exact rational arithmetic"
-    )
+        yield _reversal_gap(_exact_payoff_vector(params, n), params)
 
 
-def _check_conservation(starts, params: PayoffParams) -> CheckResult:
-    d1, d2 = conservation_drift(starts, params, 20.0)
-    worst = float(max(d1.max(), d2.max()))
-    return CheckResult("conservation", worst < 1e-8, worst, 1e-8, "T=20, rk4 dt=1e-3")
+def _conservation(starts, params: PayoffParams):
+    for drift in conservation_drift(starts, params, 20.0):
+        yield float(drift.max())
 
 
-def _check_field_kernels(starts, params: PayoffParams) -> CheckResult:
+def _field_kernels(starts, params: PayoffParams):
     # conservation_drift runs so few rows on the single-state kernel that
     # no other check reaches the batch kernel; compare the two bit for bit.
     batch = field_closed_form(starts, params)
     rows = np.array([field_closed_form(row, params) for row in starts])
-    worst = float(np.max(np.abs(batch - rows)))
-    return CheckResult(
-        "field kernel agreement",
-        bool(np.array_equal(batch, rows)),
-        worst,
-        0.0,
-        "batch against single states",
-    )
+    yield float(np.max(np.abs(batch - rows)))
 
 
-def _check_symmetry(rng, memory: int, params: PayoffParams) -> CheckResult:
-    worst = 0.0
-    ok = True
-    for n in range(1, min(memory, 2) + 1):
-        js = build_admissible(n)
-        for _ in range(20):
-            p, q = random_strategy(n, rng), random_strategy(n, rng)
-            for j in js.values():
-                report = verify_admissibility(j, p, q, params)
-                ok = ok and report.admissible
-                worst = max(worst, report.structure_error, report.payoff_error)
-    return CheckResult("symmetry conjugation", ok and worst < 1e-10, worst, 1e-10)
+def _symmetry(rng, memory: int, params: PayoffParams):
+    # A refused report carries an error of at least 1e-10: its payoff
+    # error, or inf where the votes or the rebuild refused the pair. A NaN
+    # payoff error means no unique stationary distribution: not applicable.
+    for p, q in _pairs(rng, range(1, min(memory, 2) + 1), 20):
+        for j in build_admissible(p.memory).values():
+            report = verify_admissibility(j, p, q, params)
+            yield report.structure_error
+            if not math.isnan(report.payoff_error):
+                yield report.payoff_error
 
 
-def _check_torus(rng, params: PayoffParams) -> CheckResult:
+def _torus(rng, params: PayoffParams):
     # Each start is compared at the last step both orbits recorded.
-    worst = 0.0
     for _ in range(5):
         x0 = rng.uniform(0.25, 0.75, 4)
         cube = integrate(x0, params, 5.0)
@@ -130,20 +115,14 @@ def _check_torus(rng, params: PayoffParams) -> CheckResult:
         _, path, _ = torus_trajectory(pt, params, float(cube.times[-1]))
         last = min(len(path), len(cube.times)) - 1
         end = to_cube(TorusPoint(path[last, 0], path[last, 1], pt.level))
-        worst = max(worst, float(np.max(np.abs(end - cube.states[last]))))
-    return CheckResult("torus commuting diagram", worst < 1e-6, worst, 1e-6, "T=5")
+        yield float(np.max(np.abs(end - cube.states[last])))
 
 
-def _check_oracle(rng, memory: int, params: PayoffParams) -> CheckResult:
-    worst = 0.0
-    for k in range(3):
-        p, q = random_strategy(memory, rng), random_strategy(memory, rng)
+def _oracle(rng, memory: int, params: PayoffParams):
+    for p, q in _pairs(rng, [memory], 3):
         result = simulate(p, q, params, rounds=200_000, seed=int(rng.integers(2**31)))
         analytic = payoff_by_stationary(p, q, params)
-        worst = max(worst, abs(result.mean_payoff - analytic) / result.std_error)
-    return CheckResult(
-        "oracle agreement", worst < 4.0, worst, 4.0, "deviation in standard errors"
-    )
+        yield abs(result.mean_payoff - analytic) / result.std_error
 
 
 def run_suite(
@@ -155,17 +134,27 @@ def run_suite(
     shared instance is safe because PayoffParams is frozen.
     """
     rng = np.random.default_rng(seed)
+    levels = range(2, max(2, memory) + 1)
+    memories = "memories " + ",".join(str(n) for n in levels)
     checks = [
-        _check_stochasticity(rng, memory),
-        _check_construction(rng, memory),
-        _check_payoff(rng, memory, params),
-        _check_reversal(memory, params),
-        _check_symmetry(rng, memory, params),
+        _result("row stochasticity", _stochasticity(rng, memory), 1e-12),
+        _result("construction equivalence", _construction(rng, levels), 1e-15, memories),
+        _result("payoff cross-check", _payoff(rng, memory, params), 1e-9),
+        _result("reversal identity", _reversal(memory, params), 0.0, "exact rational arithmetic"),
+        _result("symmetry conjugation", _symmetry(rng, memory, params), 1e-10),
     ]
     if memory == 1:
         starts = rng.uniform(0.1, 0.9, (10, 4))
-        checks.append(_check_conservation(starts, params))
-        checks.append(_check_field_kernels(starts, params))
-        checks.append(_check_torus(rng, params))
-    checks.append(_check_oracle(rng, memory, params))
+        checks += [
+            _result("conservation", _conservation(starts, params), 1e-8, "T=20, rk4 dt=1e-3"),
+            _result(
+                "field kernel agreement",
+                _field_kernels(starts, params),
+                0.0,
+                "batch against single states",
+            ),
+            _result("torus commuting diagram", _torus(rng, params), 1e-6, "T=5"),
+        ]
+    oracle = _oracle(rng, memory, params)
+    checks.append(_result("oracle agreement", oracle, 4.0, "deviation in standard errors"))
     return checks

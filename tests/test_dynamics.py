@@ -11,6 +11,7 @@ from altpd.dynamics import (
     _BOUNDARY_HI,
     _BOUNDARY_LO,
     _DRIFT_SCALAR_ROWS,
+    _dp45,
     _field_array,
     _field_components,
     _field_scalar,
@@ -758,6 +759,34 @@ def test_rk45_matches_scipy_at_memory_two():
     rng = np.random.default_rng(2025)
     for _ in range(3):
         assert _assert_same_as_scipy(rng.uniform(0.2, 0.8, 16), 0.5) == "completed"
+
+
+def test_rk45_grows_tenfold_from_the_step_floor_on_a_zero_field():
+    # A zero field has zero error estimates: the first step takes the
+    # 1e-6 floor and every accepted step grows by the maximum factor.
+    x0 = np.full(4, 0.5)
+    times, states, status = _dp45(np.zeros_like, x0, 1.0, ())
+    assert status == "completed"
+    assert times.size == 8
+    assert np.diff(times)[:6] == pytest.approx(10.0 ** np.arange(-6, 0), rel=1e-12)
+    assert times[-1] == 1.0
+    assert np.array_equal(states, np.tile(x0, (8, 1)))
+
+
+def test_rk45_halts_singular_when_the_step_falls_below_its_minimum():
+    # y1' = 1 / (0.45 - y1)^2 from y1 = 0.4 blows up at t = 0.05^3 / 3.
+    # The field never raises (nothing is caught), so the halt is the
+    # minimum-step rule.
+    def pole(y):
+        rate = np.zeros_like(y)
+        rate[0] = 1.0 / (0.45 - y[0]) ** 2
+        return rate
+
+    times, states, status = _dp45(pole, np.array([0.4, 0.5, 0.5, 0.5]), 1.0, ())
+    assert status == "singular"
+    assert times.size == 83
+    assert times[-1] == pytest.approx(0.05**3 / 3, rel=1e-6)
+    assert 0.4499 < states[-1, 0] < 0.45
 
 
 def test_interior_start_required():

@@ -107,6 +107,14 @@ def test_only_the_flip_table_reads_the_slot_masks():
     assert readers == {("symmetry.py", None), ("symmetry.py", "_masks")}
 
 
+def test_only_the_fold_builds_a_check_result():
+    # Every verify check yields its deviations, and verify._result alone
+    # folds them and applies the pass rule; a check that built its own
+    # CheckResult would state the fold and the rule again.
+    readers = set(_reads_of("CheckResult", ROOT / "src" / "altpd" / "verify.py"))
+    assert readers == {("verify.py", "_result")}
+
+
 def _history_shifts(path):
     """(file, enclosing top-level function or None) of every left shift of
     a variable, the form history-index arithmetic takes; a shifted constant

@@ -177,6 +177,19 @@ def test_non_admissible_permutation_detected():
             assert not verify_admissibility(j, p, q, PARAMS).admissible
 
 
+def test_rebuild_refuses_a_pair_whose_votes_agree():
+    # A 0/1 memory-2 pair under a shuffle of the 16 states: every follower
+    # entry's votes agree, so a pair is recovered, but its matrix is not
+    # the conjugated one. The rebuild refuses it with its measured error.
+    p = Strategy(np.array([0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 0, 1], dtype=float))
+    q = Strategy(np.array([0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1, 0, 1], dtype=float))
+    shuffle = np.eye(16)[[2, 1, 15, 10, 9, 0, 5, 14, 3, 13, 11, 7, 12, 8, 4, 6]]
+    report = verify_admissibility(shuffle, p, q, PARAMS)
+    assert report.admissible is False
+    assert report.p_image is None
+    assert 1e-12 < report.structure_error < np.inf
+
+
 def _has_unique_stationary(p, q):
     try:
         stationary(build_matrix_direct(p, q))

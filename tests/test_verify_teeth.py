@@ -7,6 +7,7 @@ exact payoff vector is also corrupted at memory 3, which runs every check
 but the three memory-1 field checks.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -100,6 +101,47 @@ def _bump_f0(exact):
     return corrupted
 
 
+def _nan(route):
+    def corrupted(*args, **kwargs):
+        return np.nan
+
+    return corrupted
+
+
+def _nan_at_0(to_cube):
+    def corrupted(pt):
+        x = to_cube(pt)
+        x[0] = np.nan
+        return x
+
+    return corrupted
+
+
+def _nan_entry(build):
+    def corrupted(p, q):
+        matrix = build(p, q)
+        entries = matrix.entries.copy()
+        entries[3, 0] = np.nan
+        return TransitionMatrix(matrix.memory, entries)
+
+    return corrupted
+
+
+def _nan_mean(simulate):
+    def corrupted(*args, **kwargs):
+        return dataclasses.replace(simulate(*args, **kwargs), mean_payoff=np.nan)
+
+    return corrupted
+
+
+def _nan_second_drift(drift):
+    def corrupted(*args):
+        d1, d2 = drift(*args)
+        return d1, np.full_like(d2, np.nan)
+
+    return corrupted
+
+
 # (id, module, attribute, corruption, memory, checks that must turn red)
 CASES = [
     ("recursive-matrix", altpd.verify, "build_matrix_recursive", _swap_in_row_3, 1,
@@ -120,6 +162,18 @@ CASES = [
      {"reversal identity"}),
     ("exact-payoff-vector-memory-three", altpd.verify, "_exact_payoff_vector",
      _bump_f0, 3, {"reversal identity"}),
+    # NaN routes: a fold on Python's max would drop them, since
+    # max(worst, nan) keeps worst.
+    ("stationary-payoff-nan", altpd.verify, "payoff_by_stationary", _nan, 1,
+     {"payoff cross-check", "oracle agreement"}),
+    ("determinant-payoff-nan", altpd.verify, "payoff_by_determinant", _nan, 1,
+     {"payoff cross-check"}),
+    ("to-cube-nan", altpd.verify, "to_cube", _nan_at_0, 1, {"torus commuting diagram"}),
+    ("recursive-matrix-nan", altpd.verify, "build_matrix_recursive", _nan_entry, 1,
+     {"construction equivalence"}),
+    ("simulate-nan-mean", altpd.verify, "simulate", _nan_mean, 1, {"oracle agreement"}),
+    ("conservation-drift-nan", altpd.verify, "conservation_drift", _nan_second_drift, 1,
+     {"conservation"}),
 ]
 
 
