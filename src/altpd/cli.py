@@ -56,7 +56,7 @@ class RunConfig:
     """
 
     command: str
-    b: float = _option(1.0, "benefit of receiving a donation")
+    b: float = _option(1.0, "benefit of receiving a donation; it only rescales time")
     c: float = _option(0.3, "cost of making a donation")
     n: int = _option(1, "memory length (1, 2, or 3)")
     t: float = _option(10.0, "integration horizon")
@@ -352,8 +352,6 @@ def _run_torus(config: RunConfig) -> int:
         torus_equilibria,
     )
 
-    if config.b != 1.0:
-        raise ValueError("torus analysis assumes unit benefit (--b 1)")
     params = config.params
     level = TorusLevel(config.c1, config.c2)
     prefix = config.out or "torus"

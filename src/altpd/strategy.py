@@ -249,7 +249,8 @@ class PayoffParams:
 
     The per-round totals for the pair (leader action, follower action) are
     R = b - c (CC), S = -c (CD), T = b (DC), P = 0 (DD). They satisfy the
-    equal-gains-from-switching identity R + P = S + T.
+    equal-gains-from-switching identity R + P = S + T. b only rescales time:
+    the field at (b, c) is b times that at (1, c/b) (see altpd.torus).
     """
 
     b: float = 1.0

@@ -12,6 +12,10 @@ pushforward of the cube field; multiplying it by the common rational
 denominator gives a field of trigonometric polynomials that is defined
 everywhere, including on degenerate (C1 -> 0) tori, where the psi-motion
 is governed by the C1-coefficient of psi_dot.
+
+The benefit b only rescales time: the payoffs are linear in (b, c) and the
+field's denominator A reads neither, so G(x; b, c) = b G(x; 1, c/b). The
+closed forms below read the cost ratio c/b and multiply each rate by b.
 """
 
 from __future__ import annotations
@@ -242,19 +246,17 @@ def desingularized_field(pt: TorusPoint, params: PayoffParams) -> tuple:
     Equals A * (phi_dot, psi_dot) wherever the raw field is defined, and
     extends it to degenerate tori: every psi-term carries sqrt(C1), so on
     C1 = 0 the psi-motion freezes and only the phi-motion (the fast angle)
-    survives. Requires the unit-benefit normalization.
+    survives.
     """
-    if params.b != 1.0:
-        raise ValueError("desingularized form assumes unit benefit")
     s1, c1 = math.sin(pt.phi), math.cos(pt.phi)
     s2, c2 = math.sin(pt.psi), math.cos(pt.psi)
     u, v = math.sqrt(pt.level.c1), math.sqrt(pt.level.c2)
-    c = params.c
+    b, c = params.b, params.c / params.b
     e13 = _e13_on_torus(s1, c1, s2, c2, u, v, c)
     e2 = u * _e2_linear_coefficient(s1, c1, s2, c2, v, c) + u * u * (
         _e2_quadratic_coefficient(s1, c1, s2, c2, v, c)
     )
-    return float(v * c2 * e13), float(-u * s1 * e2)
+    return float(b * v * c2 * e13), float(-b * u * s1 * e2)
 
 
 def slow_coefficient(phi, psi, level: TorusLevel, params: PayoffParams):
@@ -264,12 +266,10 @@ def slow_coefficient(phi, psi, level: TorusLevel, params: PayoffParams):
     coefficient drives the psi-motion on almost degenerate tori. Accepts
     scalar or array phi. The level enters only through C2.
     """
-    if params.b != 1.0:
-        raise ValueError("slow coefficient assumes unit benefit")
     s1, c1 = np.sin(phi), np.cos(phi)
     s2, c2 = math.sin(psi), math.cos(psi)
     v = math.sqrt(level.c2)
-    return -s1 * _e2_linear_coefficient(s1, c1, s2, c2, v, params.c)
+    return -params.b * s1 * _e2_linear_coefficient(s1, c1, s2, c2, v, params.c / params.b)
 
 
 def averaged_slow_field(psi: float, level: TorusLevel, params: PayoffParams) -> float:
@@ -277,9 +277,9 @@ def averaged_slow_field(psi: float, level: TorusLevel, params: PayoffParams) -> 
 
     Periodic trapezoid rule on 1024 equispaced points; the integrand is a
     trigonometric polynomial in phi, for which this rule is exact to
-    roundoff. The exact value is 2 pi sqrt(C2) ((C+1) cos(psi) - C sin(psi)),
-    so a nonzero result means the slow psi-drift does not stall and the
-    motion is aperiodic.
+    roundoff. The exact value is 2 pi b sqrt(C2) ((r+1) cos(psi) - r sin(psi))
+    with r = c/b, so a nonzero result means the slow psi-drift does not
+    stall and the motion is aperiodic.
     """
     n_points = 1024
     grid = np.linspace(0.0, _TWO_PI, n_points, endpoint=False)
@@ -327,11 +327,9 @@ def torus_equilibria(level: TorusLevel, params: PayoffParams) -> list:
     no equilibrium. Candidates are kept when they fall in the open
     rectangle and annihilate the reduced field; at most four survive.
     """
-    if params.b != 1.0:
-        raise ValueError("equilibrium enumeration assumes unit benefit")
     rect = admissible_rectangle(level)
     found = []
-    for psi in _psi_candidates(level, params.c):
+    for psi in _psi_candidates(level, params.c / params.b):
         for phi in _phi_candidates(psi, level):
             if not rect.contains(phi, psi):
                 continue

@@ -466,6 +466,36 @@ class TestTorus:
         assert code == 0
         assert peak < 2.2 * 4 * 400**2 * 8
 
+    def test_benefit_only_rescales_the_output(self, capsys, tmp_path):
+        # 0.6 / 2 is 0.3 in floats and doubling is exact, so the field at
+        # b = 2 is exactly twice the field at b = 1, NaN where it is NaN;
+        # the rectangle, the contour and the equilibria do not move, and
+        # the eigenvalues double, bit for bit.
+        level = ["--c1", "0.355", "--c2", "0.314"]
+        for b, c in (("1", "0.3"), ("2", "0.6")):
+            argv = ["torus", "--b", b, "--c", c, *level, "--out", str(tmp_path / b)]
+            assert run_cli(argv, capsys)[0] == 0
+
+        def rows(b, name):
+            return read_csv(tmp_path / f"{b}_{name}.csv")[2]
+
+        unit = np.array(rows("1", "field"), dtype=float)
+        double = np.array(rows("2", "field"), dtype=float)
+        assert np.array_equal(double[:, :2], unit[:, :2])
+        assert np.array_equal(double[:, 2:], 2.0 * unit[:, 2:], equal_nan=True)
+        assert np.isnan(unit).any()
+        for name in ("rectangle", "contour"):
+            assert rows("2", name) == rows("1", name)
+        (unit_eq,), (double_eq,) = (
+            json.loads((tmp_path / f"{b}_equilibria.json").read_text())["equilibria"]
+            for b in ("1", "2")
+        )
+        for key in ("phi", "psi", "x", "classification"):
+            assert double_eq[key] == unit_eq[key]
+        assert double_eq["eigenvalues"] == [
+            {k: 2.0 * v for k, v in ev.items()} for ev in unit_eq["eigenvalues"]
+        ]
+
 
 class TestVerify:
     def test_default_suite_passes(self, capsys):
@@ -589,7 +619,7 @@ class TestConfigAndErrors:
              "--format", "yaml"],
             ["integrate", "--t", "1"],
             ["integrate", "--p", "1,0,1,0", "--t", "1"],
-            ["torus", "--b", "2", "--c", "0.3"],
+            ["torus", "--b", "2", "--c", "2.5"],
             ["torus", "--c1", "2.5"],
             ["matrix", "--no-such-flag"],
             ["matrix", "--p", "allc", "--q", "allc", "--rounds", "5"],

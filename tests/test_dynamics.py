@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from altpd.dynamics import (
 )
 from altpd.chain import build_matrix_direct, stationary
 from altpd.errors import FieldSingularError, NotAnEquilibriumError
-from altpd.strategy import PayoffParams, Strategy
+from altpd.strategy import PayoffParams, Strategy, _successor_table
 from altpd.torus import to_torus, torus_field
 
 RNG = np.random.default_rng(0)
@@ -158,6 +159,64 @@ def test_pair_identity_on_the_memory_two_stencil():
         x = rng.random(16)
         gap, _ = _pair_gap(field_numeric(x, PARAMS), x)
         assert gap < 1e-8, x
+
+
+def _exact_matrix(y, x, memory):
+    """M(y, x) in Fractions, built from the successor table: leader y,
+    resident follower x, action 0 cooperating."""
+    follower, successor = _successor_table(memory)
+    n = 4**memory
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for h in range(n):
+        for a in (0, 1):
+            p_factor = y[h] if a == 0 else 1 - y[h]
+            k = follower[h][a]
+            for b in (0, 1):
+                q_factor = x[k] if b == 0 else 1 - x[k]
+                m[h][successor[h][a][b]] += p_factor * q_factor
+    return m
+
+
+def _row_times(nu, m):
+    return [sum(w * row[j] for w, row in zip(nu, m)) for j in range(len(m))]
+
+
+@pytest.mark.parametrize("memory", [1, 2])
+def test_pair_line_leaves_nu_m_unchanged_exactly(memory):
+    # Rows h and h' = h + n/2 of M(y, x) share their follower indices and
+    # successor columns and differ only through y_h and y_h'. Column j
+    # receives nu_h y_h q + nu_h' y_h' q, which moving y along
+    # v_h = nu_h' e_h - nu_h e_h' leaves unchanged, for any nu and t.
+    rng = np.random.default_rng(18)
+    n = 4**memory
+    for _ in range(5):
+        x = [Fraction(int(k), 97) for k in rng.integers(1, 97, n)]
+        nu = [Fraction(int(k), 89) for k in rng.integers(1, 89, n)]
+        t = Fraction(int(rng.integers(1, 50)), 101)
+        base = _row_times(nu, _exact_matrix(x, x, memory))
+        for h in range(n // 2):
+            y = list(x)
+            y[h] += t * nu[h + n // 2]
+            y[h + n // 2] -= t * nu[h]
+            assert _row_times(nu, _exact_matrix(y, x, memory)) == base, h
+
+
+def test_benefit_only_rescales_the_field_and_its_jacobian():
+    # The payoffs are linear in (b, c) and the denominator A reads neither,
+    # so G(x; b, c) = b G(x; 1, c/b), and the Jacobian scales the same way.
+    # Over 200 points per pair the worst gap was 1.7e-15 of the point's
+    # max|G| and 6.7e-16 of its max|J|; at (2, 0.6) and (0.5, 0.2), where
+    # c/b and the scaling are exact in floats, it was 0.
+    rng = np.random.default_rng(5)
+    for b, c in ((2.0, 0.6), (3.7, 1.1), (0.5, 0.2)):
+        params, unit = PayoffParams(b, c), PayoffParams(1.0, c / b)
+        xs = rng.random((200, 4))
+        for x, g, g_unit in zip(
+            xs, field_closed_form(xs, params), field_closed_form(xs, unit)
+        ):
+            assert np.abs(g - b * g_unit).max() <= 1e-14 * np.abs(g).max(), x
+            j = jacobian(x, params)
+            assert np.abs(j - b * jacobian(x, unit)).max() <= 1e-14 * np.abs(j).max(), x
 
 
 # ---- the kernel's constants and shared subexpressions ----

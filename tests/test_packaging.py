@@ -115,6 +115,39 @@ def test_only_the_fold_builds_a_check_result():
     assert readers == {("verify.py", "_result")}
 
 
+def _benefit_literal_comparisons(path):
+    """(file, enclosing top-level function or None) of every comparison of
+    params.b or config.b with a literal."""
+    def benefit(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "b"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("params", "config")
+        )
+
+    def literal(node):
+        if isinstance(node, ast.UnaryOp):
+            node = node.operand
+        return isinstance(node, ast.Constant)
+
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(map(benefit, operands)) and any(map(literal, operands)):
+                    yield path.name, owner
+
+
+def test_no_route_singles_out_a_benefit_value():
+    # b only rescales time: G(x; b, c) = b G(x; 1, c/b). Every route reads
+    # the cost ratio c/b and scales its rates by b, so none refuses or
+    # branches on a particular benefit.
+    found = {hit for path in SOURCES for hit in _benefit_literal_comparisons(path)}
+    assert found == set()
+
+
 def _history_shifts(path):
     """(file, enclosing top-level function or None) of every left shift of
     a variable, the form history-index arithmetic takes; a shifted constant

@@ -43,6 +43,10 @@ TWO_PI = 2.0 * math.pi
 PANEL_A = (0.31, 0.355, 0.314)
 PANEL_B = (0.4, 1.16422, 1.158)
 
+# (b, c) pairs off the unit benefit, for the scale rule
+# G(x; b, c) = b G(x; 1, c/b).
+SCALED = ((2.0, 0.6), (3.7, 1.1), (0.5, 0.2))
+
 
 def cube_denominator(x, b, c):
     """Reference denominator of the rational memory-1 field."""
@@ -365,8 +369,8 @@ class TestTorusField:
 class TestDesingularizedField:
     def test_equals_cube_denominator_times_field(self):
         rng = np.random.default_rng(10)
-        for c in (0.1, 0.4, 0.8):
-            params = PayoffParams(1.0, c)
+        for b, c in ((1.0, 0.1), (1.0, 0.4), (1.0, 0.8), *SCALED):
+            params = PayoffParams(b, c)
             for _ in range(50):
                 level = TorusLevel(rng.uniform(0.05, 1.95), rng.uniform(0.05, 1.95))
                 pt = random_admissible_point(rng, level)
@@ -394,11 +398,6 @@ class TestDesingularizedField:
             assert abs(d[1]) < 1e-8
             assert d[1] / tiny == pytest.approx(float(coeff), rel=1e-4, abs=1e-9)
 
-    def test_requires_unit_benefit(self):
-        pt = TorusPoint(5.0, 5.0, TorusLevel(0.5, 0.5))
-        with pytest.raises(ValueError):
-            desingularized_field(pt, PayoffParams(2.0, 0.3))
-
 
 class TestSlowAveraging:
     def test_frozen_average_value(self):
@@ -408,21 +407,26 @@ class TestSlowAveraging:
         assert value == pytest.approx(5.775747819605877, abs=1e-8)
 
     def test_matches_closed_formula(self):
+        # 2 pi b sqrt(C2) ((r+1) cos(psi) - r sin(psi)) with r = c/b; the
+        # unit-benefit draws come first, as before b varied.
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            c = rng.uniform(0.05, 0.95)
-            c2 = rng.uniform(0.05, 1.95)
-            psi = rng.uniform(0, TWO_PI)
-            params = PayoffParams(1.0, c)
-            level = TorusLevel(1.0, c2)
-            expect = (
-                TWO_PI
-                * math.sqrt(c2)
-                * ((c + 1.0) * math.cos(psi) - c * math.sin(psi))
-            )
-            assert averaged_slow_field(psi, level, params) == pytest.approx(
-                expect, abs=1e-8
-            )
+        for b in (1.0, 2.7):
+            for _ in range(50):
+                c = rng.uniform(0.05, 0.95) * b
+                c2 = rng.uniform(0.05, 1.95)
+                psi = rng.uniform(0, TWO_PI)
+                params = PayoffParams(b, c)
+                level = TorusLevel(1.0, c2)
+                r = c / b
+                expect = (
+                    TWO_PI
+                    * b
+                    * math.sqrt(c2)
+                    * ((r + 1.0) * math.cos(psi) - r * math.sin(psi))
+                )
+                assert averaged_slow_field(psi, level, params) == pytest.approx(
+                    expect, abs=1e-8
+                )
 
     def test_zero_at_formula_root(self):
         params = PayoffParams(1.0, 0.3)
@@ -435,10 +439,6 @@ class TestSlowAveraging:
         a = averaged_slow_field(0.7, TorusLevel(0.1, 0.8), params)
         b = averaged_slow_field(0.7, TorusLevel(1.9, 0.8), params)
         assert a == pytest.approx(b, abs=1e-14)
-
-    def test_requires_unit_benefit(self):
-        with pytest.raises(ValueError):
-            slow_coefficient(0.5, 0.5, TorusLevel(0.5, 0.5), PayoffParams(2.0, 0.3))
 
 
 class TestTorusEquilibria:
@@ -525,9 +525,31 @@ class TestTorusEquilibria:
                 )
                 assert not both_change
 
-    def test_requires_unit_benefit(self):
-        with pytest.raises(ValueError):
-            torus_equilibria(TorusLevel(0.5, 0.5), PayoffParams(2.0, 0.3))
+    def test_depend_on_the_cost_ratio_alone(self):
+        # b only rescales the field, so the same candidates pass the same
+        # tests: the equilibria at (b, c) are those at (1, c/b), angle for
+        # angle.
+        def angles(level, params):
+            return [(pt.phi, pt.psi) for pt in torus_equilibria(level, params)]
+
+        figures = [
+            (PayoffParams(b, ratio * b), TorusLevel(c1, c2))
+            for ratio, c1, c2 in (PANEL_A, PANEL_B)
+            for b in (2.0, 3.7, 0.5)
+        ]
+        rng = np.random.default_rng(14)
+        drawn = [
+            (PayoffParams(b, c), TorusLevel(*rng.uniform(0.05, 1.95, 2)))
+            for b, c in SCALED
+            for _ in range(50)
+        ]
+        seen = 0
+        for params, level in figures + drawn:
+            found = angles(level, params)
+            assert found == angles(level, PayoffParams(1.0, params.c / params.b))
+            seen += len(found)
+        assert [len(angles(level, params)) for params, level in figures] == [1] * 6
+        assert seen > len(figures)
 
 
 class TestTrajectory:
