@@ -325,7 +325,8 @@ def torus_equilibria(level: TorusLevel, params: PayoffParams) -> list:
     psi there are two phi-branches from sin(phi - pi/4) proportional to
     sin(psi - pi/4). Branches whose arcsine argument leaves [-1, 1] carry
     no equilibrium. Candidates are kept when they fall in the open
-    rectangle and annihilate the reduced field; at most four survive.
+    rectangle and annihilate the reduced field to 1e-8 b; at most four
+    survive.
     """
     rect = admissible_rectangle(level)
     found = []
@@ -338,7 +339,7 @@ def torus_equilibria(level: TorusLevel, params: PayoffParams) -> list:
                 f = torus_field(pt, params)
             except FieldSingularError:
                 continue
-            if max(abs(f[0]), abs(f[1])) >= _EQUILIBRIUM_FIELD_TOL:
+            if max(abs(f[0]), abs(f[1])) >= _EQUILIBRIUM_FIELD_TOL * params.b:
                 continue
             if any(
                 _angle_close(pt.phi, q.phi) and _angle_close(pt.psi, q.psi)

@@ -407,8 +407,7 @@ class TestSlowAveraging:
         assert value == pytest.approx(5.775747819605877, abs=1e-8)
 
     def test_matches_closed_formula(self):
-        # 2 pi b sqrt(C2) ((r+1) cos(psi) - r sin(psi)) with r = c/b; the
-        # unit-benefit draws come first, as before b varied.
+        # 2 pi b sqrt(C2) ((r+1) cos(psi) - r sin(psi)) with r = c/b.
         rng = np.random.default_rng(11)
         for b in (1.0, 2.7):
             for _ in range(50):
@@ -527,15 +526,16 @@ class TestTorusEquilibria:
 
     def test_depend_on_the_cost_ratio_alone(self):
         # b only rescales the field, so the same candidates pass the same
-        # tests: the equilibria at (b, c) are those at (1, c/b), angle for
-        # angle.
+        # tests, the field test at 1e-8 b: the equilibria at (b, c) are those
+        # at (1, c/b), angle for angle. Against an unscaled 1e-8, both figure
+        # levels lost their equilibrium at b = 1e8.
         def angles(level, params):
             return [(pt.phi, pt.psi) for pt in torus_equilibria(level, params)]
 
         figures = [
             (PayoffParams(b, ratio * b), TorusLevel(c1, c2))
             for ratio, c1, c2 in (PANEL_A, PANEL_B)
-            for b in (2.0, 3.7, 0.5)
+            for b in (2.0, 3.7, 0.5, 1e8)
         ]
         rng = np.random.default_rng(14)
         drawn = [
@@ -548,7 +548,7 @@ class TestTorusEquilibria:
             found = angles(level, params)
             assert found == angles(level, PayoffParams(1.0, params.c / params.b))
             seen += len(found)
-        assert [len(angles(level, params)) for params, level in figures] == [1] * 6
+        assert [len(angles(level, params)) for params, level in figures] == [1] * 8
         assert seen > len(figures)
 
 
