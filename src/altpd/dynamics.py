@@ -775,15 +775,16 @@ class EquilibriumPoint:
 def classify_equilibrium(x, params: PayoffParams) -> EquilibriumPoint:
     """Classify a memory-1 equilibrium by its Jacobian spectrum.
 
-    The field must vanish at x (norm below 1e-8). Eigenvalues come from
+    The field must vanish at x (norm below 1e-8 b). Eigenvalues come from
     the complex-step Jacobian of the closed form, so the near-zero pair is
-    resolved at machine precision.
+    resolved at machine precision; it is near zero below 1e-8 b, since the
+    field and its spectrum scale by b (see altpd.torus).
     """
     x = np.asarray(x, dtype=float)
     if x.size != 4:
         raise ValueError("classification requires memory 1")
     norm = float(np.linalg.norm(field_closed_form(x, params)))
-    if norm >= _FIELD_ZERO_TOL:
+    if norm >= _FIELD_ZERO_TOL * params.b:
         raise NotAnEquilibriumError("not an equilibrium")
     eigenvalues = np.linalg.eigvals(jacobian(x, params))
     order = np.argsort(-eigenvalues.real)
@@ -794,11 +795,10 @@ def classify_equilibrium(x, params: PayoffParams) -> EquilibriumPoint:
     if on_face:
         label = "boundary"
     else:
-        near_zero = np.abs(eigenvalues) < _ZERO_EIG_TOL
+        zero_tol = _ZERO_EIG_TOL * params.b
+        near_zero = np.abs(eigenvalues) < zero_tol
         nonzero = eigenvalues[~near_zero]
-        if near_zero.sum() == 2 and np.all(
-            np.abs(nonzero.imag) < _ZERO_EIG_TOL
-        ):
+        if near_zero.sum() == 2 and np.all(np.abs(nonzero.imag) < zero_tol):
             lam1, lam2 = sorted(nonzero.real, reverse=True)
             if lam1 > 0.0 and lam2 > 0.0:
                 label = "degenerate-source"

@@ -956,6 +956,21 @@ def test_continuation_past_the_face_is_a_degenerate_source():
     )
 
 
+def test_classification_depends_on_the_cost_ratio_alone():
+    # The field and its spectrum scale by b, and so do the equilibrium and
+    # near-zero tests: against unscaled 1e-8 tests, b = 1e8 refused the
+    # exterior point as no equilibrium and b = 1e-9 labelled both "other".
+    unit = PayoffParams(1.0, PARAMS.c)
+    for x in (PLANE_POINT, EXTERIOR_POINT):
+        want = classify_equilibrium(x, unit)
+        for b in (1e-9, 2.0, 1e8):
+            point = classify_equilibrium(x, PayoffParams(b, PARAMS.c * b))
+            assert point.classification == want.classification
+            np.testing.assert_allclose(
+                point.eigenvalues, b * np.array(want.eigenvalues), rtol=0, atol=1e-12 * b
+            )
+
+
 def test_face_equilibria_are_flagged_boundary():
     families = {f.name: f for f in equilibrium_families(PARAMS)}
     x = families["p1=1 face"].point(p2=0.8, p4=0.4)
