@@ -420,6 +420,15 @@ def _run_verify(config: RunConfig) -> int:
     return 0
 
 
+# The one subcommand table: name -> (help text, runner), in help order.
+_COMMANDS = {
+    "matrix": ("transition matrix, stationary distribution, both payoffs", _run_matrix),
+    "integrate": ("integrate the adaptive dynamics", _run_integrate),
+    "torus": ("reduced field, rectangle, contour, equilibria", _run_torus),
+    "verify": ("run the property suite", _run_verify),
+}
+
+
 def _build_parser() -> _Parser:
     shared = _Parser(add_help=False)
     for f in _OPTIONS:
@@ -431,37 +440,16 @@ def _build_parser() -> _Parser:
         description="Alternating-game adaptive dynamics toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "matrix",
-        parents=[shared],
-        help="transition matrix, stationary distribution, both payoffs",
-    )
-    sub.add_parser(
-        "integrate", parents=[shared], help="integrate the adaptive dynamics"
-    )
-    sub.add_parser(
-        "torus", parents=[shared], help="reduced field, rectangle, contour, equilibria"
-    )
-    sub.add_parser("verify", parents=[shared], help="run the property suite")
+    for name, (help_text, _) in _COMMANDS.items():
+        sub.add_parser(name, parents=[shared], help=help_text)
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    config = _effective_config(args)
-    if args.command == "matrix":
-        return _run_matrix(config)
-    if args.command == "integrate":
-        return _run_integrate(config)
-    if args.command == "torus":
-        return _run_torus(config)
-    return _run_verify(config)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _dispatch(args)
+        code = _COMMANDS[args.command][1](_effective_config(args))
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -108,15 +108,9 @@ def simulate(
     (bool is refused), seed non-negative; ValueError otherwise.
     """
     _shared_memory(p, q)
-    rounds = _integer("rounds", rounds)
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    burn_in = rounds // 10 if burn_in is None else _integer("burn_in", burn_in)
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-    seed = _integer("seed", seed)
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    rounds = _integer("rounds", rounds, 1)
+    burn_in = rounds // 10 if burn_in is None else _integer("burn_in", burn_in, 0)
+    seed = _integer("seed", seed, 0)
 
     rng = np.random.Generator(np.random.PCG64(seed))
     h = int(rng.integers(p.n_states))
@@ -145,12 +139,16 @@ def simulate(
     )
 
 
-def _integer(name, value):
+def _integer(name, value, minimum):
     if not isinstance(value, (bool, np.bool_)):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            if value < minimum:
+                raise ValueError(f"{name} must be >= {minimum}")
+            return value
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -113,7 +113,8 @@ def verify_admissibility(
     each entry up to twice, so agreement is part of the check), rebuilds the
     matrix from the recovered pair, and compares every entry, off the
     successor pattern too, within 1e-12. Then compares nu f with
-    stationary(J M J^T) (J f) under params within 1e-10, where nu exists.
+    stationary(J M J^T) (J f) under params within 1e-10 in units of b (the
+    payoffs are linear in b), where nu exists; payoff_error is absolute.
     Since stationary(J M J^T) = J nu, the two agree by construction: the
     test fails only when the floating solve is not permutation-equivariant,
     as a solve tilted by nu_h (1 + 1e-6 h) is not. It is no payoff
@@ -161,7 +162,7 @@ def verify_admissibility(
         return AdmissibilityReport(True, p_image, q_image, structure_error, np.nan)
     transformed = stationary(TransitionMatrix(matrix.memory, x)) @ f[perm]
     payoff_error = float(abs(original - transformed))
-    if payoff_error > 1e-10:
+    if payoff_error > 1e-10 * params.b:
         return AdmissibilityReport(False, p_image, q_image, structure_error, payoff_error)
     return AdmissibilityReport(True, p_image, q_image, structure_error, payoff_error)
 

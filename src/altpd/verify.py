@@ -72,7 +72,8 @@ def _construction(rng, levels):
 
 def _payoff(rng, memory: int, params: PayoffParams):
     for p, q in _pairs(rng, range(1, min(memory, 2) + 1), 100):
-        yield abs(payoff_by_determinant(p, q, params) - payoff_by_stationary(p, q, params))
+        gap = payoff_by_determinant(p, q, params) - payoff_by_stationary(p, q, params)
+        yield abs(gap) / params.b
 
 
 def _reversal(memory: int, params: PayoffParams):
@@ -82,7 +83,7 @@ def _reversal(memory: int, params: PayoffParams):
 
 
 def _conservation(starts, params: PayoffParams):
-    for drift in conservation_drift(starts, params, 20.0):
+    for drift in conservation_drift(starts, params, 20.0 / params.b, 1e-3 / params.b):
         yield float(drift.max())
 
 
@@ -96,23 +97,25 @@ def _field_kernels(starts, params: PayoffParams):
 
 def _symmetry(rng, memory: int, params: PayoffParams):
     # A refused report carries an error of at least 1e-10: its payoff
-    # error, or inf where the votes or the rebuild refused the pair. A NaN
-    # payoff error means no unique stationary distribution: not applicable.
+    # error in units of b, or inf where the votes or the rebuild refused the
+    # pair. A NaN payoff error means no unique stationary distribution: not
+    # applicable.
     for p, q in _pairs(rng, range(1, min(memory, 2) + 1), 20):
         for j in build_admissible(p.memory).values():
             report = verify_admissibility(j, p, q, params)
             yield report.structure_error
             if not math.isnan(report.payoff_error):
-                yield report.payoff_error
+                yield report.payoff_error / params.b
 
 
 def _torus(rng, params: PayoffParams):
     # Each start is compared at the last step both orbits recorded.
+    dt = 1e-3 / params.b
     for _ in range(5):
         x0 = rng.uniform(0.25, 0.75, 4)
-        cube = integrate(x0, params, 5.0)
+        cube = integrate(x0, params, 5.0 / params.b, dt=dt)
         pt = to_torus(x0)
-        _, path, _ = torus_trajectory(pt, params, float(cube.times[-1]))
+        _, path, _ = torus_trajectory(pt, params, float(cube.times[-1]), dt)
         last = min(len(path), len(cube.times)) - 1
         end = to_cube(TorusPoint(path[last, 0], path[last, 1], pt.level))
         yield float(np.max(np.abs(end - cube.states[last])))
@@ -131,7 +134,10 @@ def run_suite(
     """Run every property check and return the results in a fixed order.
 
     The default params are the game's defaults (b = 1, c = 0.3); the one
-    shared instance is safe because PayoffParams is frozen.
+    shared instance is safe because PayoffParams is frozen. Since b only
+    rescales time and payoffs, the horizons and steps of the memory-1
+    field checks are in units of 1/b (the details name them at b = 1) and
+    the payoff deviations in units of b, so each tolerance holds at any b.
     """
     rng = np.random.default_rng(seed)
     levels = range(2, max(2, memory) + 1)

@@ -537,6 +537,17 @@ class TestVerify:
         torus = [line for line in out.splitlines() if "torus commuting diagram" in line]
         assert len(torus) == 1 and torus[0].startswith("PASS torus commuting diagram")
 
+    @pytest.mark.parametrize(
+        "b, c", [("2", "0.6"), ("1e3", "300"), ("1e4", "3000"), ("1e8", "3e7"), ("1e-6", "3e-7")]
+    )
+    def test_every_check_passes_on_the_benefits_clock(self, capsys, b, c):
+        # b only rescales time and payoffs, so the suite's horizons and
+        # steps are in units of 1/b and its payoff deviations in units of b.
+        code, out, err = run_cli(["verify", "--b", b, "--c", c], capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 9 and all(line.startswith("PASS") for line in lines)
+
     def test_memory_three_extends_construction_checks(self, capsys):
         code, out, _ = run_cli(["verify", "--n", "3"], capsys)
         assert code == 0

@@ -115,6 +115,24 @@ def test_only_the_fold_builds_a_check_result():
     assert readers == {("verify.py", "_result")}
 
 
+def test_only_the_command_table_reads_the_runners():
+    # The subcommands are stated once, in cli._COMMANDS, which the parser
+    # loops over and main indexes; a dispatch that named a runner would
+    # state them again. (cli.py, None) is the module-level table.
+    cli = ROOT / "src" / "altpd" / "cli.py"
+    runners = {
+        top.name
+        for top in ast.parse(cli.read_text()).body
+        if isinstance(top, ast.FunctionDef) and top.name.startswith("_run_")
+    }
+    table = importlib.import_module("altpd.cli")._COMMANDS
+    assert {runner.__name__ for _, runner in table.values()} == runners
+    for name in runners:
+        readers = {reader for path in SOURCES for reader in _reads_of(name, path)}
+        assert readers == {("cli.py", None)}, name
+    assert set(_reads_of("_COMMANDS", cli)) == {("cli.py", "_build_parser"), ("cli.py", "main")}
+
+
 def _benefit_literal_comparisons(path):
     """(file, enclosing top-level function or None) of every comparison of
     params.b or config.b with a literal."""

@@ -244,3 +244,13 @@ def test_exhaustive_search_finds_exactly_the_four():
     pairs = [(random_strategy(1, RNG), random_strategy(1, RNG)) for _ in range(5)]
     found = exhaustive_admissible_search(pairs, PARAMS)
     assert sorted(found) == [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+
+
+def test_exhaustive_search_at_a_large_benefit_finds_the_four():
+    # The payoffs, and so the roundoff between the two stationary solves,
+    # grow with b: the payoff test is in units of b. An absolute 1e-10
+    # admitted only the identity at b = 1e8.
+    rng = np.random.default_rng(1)
+    pairs = [(random_strategy(1, rng), random_strategy(1, rng)) for _ in range(5)]
+    found = exhaustive_admissible_search(pairs, PayoffParams(b=1e8, c=3e7))
+    assert sorted(found) == [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]

@@ -4,7 +4,8 @@ its own checks red, and the clean suite stays green.
 Each case patches one route in process and runs `run_suite(memory=N)` at
 seed 0, as `altpd verify --n N` runs it. Memory 1 runs every check; the
 exact payoff vector is also corrupted at memory 3, which runs every check
-but the three memory-1 field checks.
+but the three memory-1 field checks, and the determinant payoff at
+b = 1e-6, where the payoff deviations are measured in units of b.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ import altpd.payoff
 import altpd.symmetry
 import altpd.verify
 from altpd.chain import TransitionMatrix
+from altpd.strategy import PayoffParams
 from altpd.verify import run_suite
 
 CHECKS = {
@@ -97,6 +99,13 @@ def _bump_f0(exact):
         f = exact(params, memory)
         f[0] += Fraction(1, 10**6)
         return f
+
+    return corrupted
+
+
+def _scale_relative(payoff):
+    def corrupted(p, q, params):
+        return payoff(p, q, params) * (1.0 + 1e-8)
 
     return corrupted
 
@@ -197,3 +206,12 @@ def test_a_corrupted_route_turns_exactly_its_checks_red(
 ):
     monkeypatch.setattr(module, attribute, corrupt(getattr(module, attribute)))
     assert _failed(run_suite(memory=memory), memory) == red
+
+
+def test_a_relative_payoff_error_is_red_at_a_small_benefit(monkeypatch):
+    # At b = 1e-6 a determinant route off by a relative 1e-8 is off by
+    # about 8e-15 absolute; the payoff deviations are in units of b, so the
+    # cross-check sees it as about 8e-9 against 1e-9.
+    route = altpd.verify.payoff_by_determinant
+    monkeypatch.setattr(altpd.verify, "payoff_by_determinant", _scale_relative(route))
+    assert _failed(run_suite(params=PayoffParams(b=1e-6, c=3e-7))) == {"payoff cross-check"}
