@@ -8,10 +8,10 @@ so the motion takes place on the torus
 
 The cube intersects such a torus only for levels in (0, 2), and its image
 is an open rectangle of angles near (3pi/2, 2pi). The reduced field is the
-pushforward of the cube field; multiplying it by the common rational
-denominator gives a field of trigonometric polynomials that is defined
-everywhere, including on degenerate (C1 -> 0) tori, where the psi-motion
-is governed by the C1-coefficient of psi_dot.
+pushforward of the cube field. Pushing the memory-1 kernel's numerators
+forward instead gives the reduced field times the cube denominator A,
+which has no poles. As C1 -> 0 its psi-rate vanishes like C1, with the
+closed-form coefficient slow_coefficient; a level C1 = 0 is refused.
 
 The benefit b only rescales time: the payoffs are linear in (b, c) and the
 field's denominator A reads neither, so G(x; b, c) = b G(x; 1, c/b). The
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _field_array, _field_scalar, _levels, _march
+from .dynamics import _CONSTS, _field_array, _field_components, _field_scalar, _levels, _march
 from .errors import DegenerateTorusError, FieldSingularError
 from .strategy import PayoffParams, _step_count
 
@@ -166,7 +166,8 @@ def toric_denominator(phi, psi, level: TorusLevel):
 
 def _pushforward(s1, c1, s2, c2, u, v, g):
     """(phi_dot, psi_dot) from the cube field g at angles with sines s1, s2,
-    cosines c1, c2: floats for one point, arrays for a field_grid row."""
+    cosines c1, c2: floats for one point, arrays for a field_grid row.
+    Given the kernel's numerators for g it returns A (phi_dot, psi_dot)."""
     g1, g2, g3, g4 = g
     return (c1 * g1 - s1 * g3) / u, (c2 * g2 - s2 * g4) / v
 
@@ -197,33 +198,6 @@ def torus_field(pt: TorusPoint, params: PayoffParams) -> tuple:
     )
 
 
-def _e13_on_torus(s1, c1, s2, c2, u, v, c):
-    """E13 numerator block in angle coordinates: affine in u = sqrt(C1)."""
-    order0 = (1.0 - c) * v * v * s2 * (c2 - s2)
-    cos_part = v * (
-        -c * c2 * c2 * v
-        + 2.0 * c * c2 * s2 * v
-        + 2.0 * c * c2
-        - c * s2 * s2 * v
-        - c * s2
-        - c2 * s2 * v
-        + s2 * s2 * v
-        + s2
-    )
-    sin_part = v * (
-        c * c2 * c2 * v
-        - 2.0 * c * c2 * s2 * v
-        - 2.0 * c * c2
-        + c * s2 * s2 * v
-        + c * s2
-        + c2 * c2 * v
-        - c2 * s2 * v
-        - 2.0 * c2
-        + s2
-    )
-    return order0 + u * (c1 * cos_part + s1 * sin_part)
-
-
 def _e2_linear_coefficient(s1, c1, s2, c2, v, c):
     """Coefficient of u in E2 on the torus (the constant order vanishes)."""
     return v * (
@@ -232,31 +206,23 @@ def _e2_linear_coefficient(s1, c1, s2, c2, v, c):
     )
 
 
-def _e2_quadratic_coefficient(s1, c1, s2, c2, v, c):
-    return (
-        c1 * c1 * (-c * c2 * v + c * s2 * v + c - s2 * v - 1.0)
-        + c1 * s1 * (2.0 * c * c2 * v - 2.0 * c * s2 * v - c + c2 * v + s2 * v + 1.0)
-        + s1 * s1 * v * (-c * c2 + c * s2 - c2)
-    )
-
-
 def desingularized_field(pt: TorusPoint, params: PayoffParams) -> tuple:
-    """Reduced field times the denominator: trig polynomials, no poles.
+    """Reduced field times the cube denominator A, with no division by A.
 
-    Equals A * (phi_dot, psi_dot) wherever the raw field is defined, and
-    extends it to degenerate tori: every psi-term carries sqrt(C1), so on
-    C1 = 0 the psi-motion freezes and only the phi-motion (the fast angle)
-    survives.
+    Pushes the memory-1 kernel's numerators forward to the angles, which
+    gives A * (phi_dot, psi_dot) wherever the raw field is defined and stays
+    finite where A vanishes. Every psi-term carries sqrt(C1), so as C1 -> 0
+    the psi-motion freezes at rate C1 * slow_coefficient and only the
+    phi-motion (the fast angle) survives.
     """
     s1, c1 = math.sin(pt.phi), math.cos(pt.phi)
     s2, c2 = math.sin(pt.psi), math.cos(pt.psi)
     u, v = math.sqrt(pt.level.c1), math.sqrt(pt.level.c2)
-    b, c = params.b, params.c / params.b
-    e13 = _e13_on_torus(s1, c1, s2, c2, u, v, c)
-    e2 = u * _e2_linear_coefficient(s1, c1, s2, c2, v, c) + u * u * (
-        _e2_quadratic_coefficient(s1, c1, s2, c2, v, c)
+    _, *numerators = _field_components(
+        1.0 + u * s1, 1.0 + v * s2, u * c1, v * c2, params.b, params.c, _CONSTS
     )
-    return float(b * v * c2 * e13), float(-b * u * s1 * e2)
+    phi_rate, psi_rate = _pushforward(s1, c1, s2, c2, u, v, numerators)
+    return float(phi_rate), float(psi_rate)
 
 
 def slow_coefficient(phi, psi, level: TorusLevel, params: PayoffParams):

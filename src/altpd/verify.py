@@ -136,8 +136,8 @@ def run_suite(
     The default params are the game's defaults (b = 1, c = 0.3); the one
     shared instance is safe because PayoffParams is frozen. Since b only
     rescales time and payoffs, the horizons and steps of the memory-1
-    field checks are in units of 1/b (the details name them at b = 1) and
-    the payoff deviations in units of b, so each tolerance holds at any b.
+    field checks are in units of 1/b (as their details say) and the payoff
+    deviations in units of b, so each tolerance holds at any b.
     """
     rng = np.random.default_rng(seed)
     levels = range(2, max(2, memory) + 1)
@@ -152,14 +152,14 @@ def run_suite(
     if memory == 1:
         starts = rng.uniform(0.1, 0.9, (10, 4))
         checks += [
-            _result("conservation", _conservation(starts, params), 1e-8, "T=20, rk4 dt=1e-3"),
+            _result("conservation", _conservation(starts, params), 1e-8, "T=20/b, rk4 dt=1e-3/b"),
             _result(
                 "field kernel agreement",
                 _field_kernels(starts, params),
                 0.0,
                 "batch against single states",
             ),
-            _result("torus commuting diagram", _torus(rng, params), 1e-6, "T=5"),
+            _result("torus commuting diagram", _torus(rng, params), 1e-6, "T=5/b"),
         ]
     oracle = _oracle(rng, memory, params)
     checks.append(_result("oracle agreement", oracle, 4.0, "deviation in standard errors"))

@@ -508,18 +508,18 @@ class TestVerify:
         assert any("commuting" in line or "torus" in line for line in lines)
         assert err == ""
 
-    # sha256 of `altpd verify` stdout. The memory-1 default digest was
-    # re-recorded when the torus check began to compare every start up to
-    # its cube orbit's halt; at seed 11 that left the worst deviation, and
-    # so the digest, as it was. The memory-3 digests (no memory-1 field
-    # checks) were recorded before the exact payoff vector and the
-    # reversal gap were each written once.
+    # sha256 of `altpd verify` stdout. The memory-1 digests were
+    # re-recorded when the details of the memory-1 field checks began to
+    # name their horizons and steps in units of 1/b; no measured value
+    # moved. The memory-3 digests (no memory-1 field checks) were recorded
+    # before the exact payoff vector and the reversal gap were each
+    # written once.
     @pytest.mark.parametrize(
         "args, code, digest",
         [
-            ([], 0, "27361678d145f213b26dbf17a890a078c3e528729bb6eb05894027ad35cadaa4"),
-            (["--n", "1"], 0, "27361678d145f213b26dbf17a890a078c3e528729bb6eb05894027ad35cadaa4"),
-            (["--seed", "11"], 0, "4836b4b5bdb12183d42a5d454720413275c45f72a69203fc083b9eca75effed1"),
+            ([], 0, "b46221ce68b7f9b99a9c1f4ec8e8bd7006d72a698897e23d37f0132d64632ca3"),
+            (["--n", "1"], 0, "b46221ce68b7f9b99a9c1f4ec8e8bd7006d72a698897e23d37f0132d64632ca3"),
+            (["--seed", "11"], 0, "ef8c095be39eb83fa26630895cc2368fd0f2ad50cb8dc559d7997afb8d58fe9f"),
             (["--n", "3", "--seed", "5"], 0, "7a0cf7742f1e290acb0fd699e239340295489ee88e67d71a3445eefc0fe9f389"),
         ],
         ids=["default", "memory-one", "seed-11", "memory-three-seed-5"],
@@ -547,6 +547,11 @@ class TestVerify:
         assert (code, err) == (0, "")
         lines = out.splitlines()
         assert len(lines) == 9 and all(line.startswith("PASS") for line in lines)
+
+    def test_details_name_the_benefits_clock(self, capsys):
+        _, out, _ = run_cli(["verify", "--b", "1000", "--c", "300"], capsys)
+        assert "(T=20/b, rk4 dt=1e-3/b)" in out
+        assert "(T=5/b)" in out
 
     def test_memory_three_extends_construction_checks(self, capsys):
         code, out, _ = run_cli(["verify", "--n", "3"], capsys)

@@ -93,6 +93,21 @@ def test_only_real_batches_reach_the_array_kernel():
     }
 
 
+def test_only_the_kernels_and_the_desingularized_field_read_the_numerators():
+    # The memory-1 field's numerators are stated once, in
+    # dynamics._field_components. The two kernels divide them by the
+    # denominator; torus.desingularized_field pushes them forward to the
+    # angles undivided. A hand-typed copy in angle coordinates would state
+    # them again. (torus.py, None) is torus's import.
+    readers = {reader for path in SOURCES for reader in _reads_of("_field_components", path)}
+    assert readers == {
+        ("dynamics.py", "_field_scalar"),
+        ("dynamics.py", "_field_array"),
+        ("torus.py", None),
+        ("torus.py", "desingularized_field"),
+    }
+
+
 def test_only_the_flip_table_reads_the_slot_masks():
     # The four relabelings are stated once, as symmetry._FLIPS, and
     # symmetry._masks alone turns a flip into the slots it XORs; a matrix,

@@ -388,15 +388,16 @@ class TestDesingularizedField:
 
     def test_degenerate_level_freezes_slow_angle(self):
         # Every psi-term carries sqrt(C1): on an almost degenerate torus
-        # the psi-rate is O(C1) with coefficient slow_coefficient.
+        # the psi-rate from the kernel is C1 times the closed-form
+        # slow_coefficient, up to a relative O(sqrt(C1)) remainder. At
+        # these angles the remainder measured at most 1.97 sqrt(C1).
         params = PayoffParams(1.0, 0.3)
-        tiny = 1e-10
-        level = TorusLevel(tiny, 0.5)
-        for phi, psi in [(5.0, 5.3), (4.9, 5.8), (0.3, 2.0)]:
-            d = desingularized_field(TorusPoint(phi, psi, level), params)
-            coeff = slow_coefficient(phi, psi, level, params)
-            assert abs(d[1]) < 1e-8
-            assert d[1] / tiny == pytest.approx(float(coeff), rel=1e-4, abs=1e-9)
+        for tiny in (1e-6, 1e-10, 1e-14):
+            level = TorusLevel(tiny, 0.5)
+            for phi, psi in [(5.0, 5.3), (4.9, 5.8), (0.3, 2.0)]:
+                d = desingularized_field(TorusPoint(phi, psi, level), params)
+                slow = float(slow_coefficient(phi, psi, level, params))
+                assert abs(d[1] / tiny - slow) <= 2.5 * math.sqrt(tiny) * abs(slow)
 
 
 class TestSlowAveraging:
