@@ -46,6 +46,9 @@ def build_matrix_direct(p: Strategy, q: Strategy) -> TransitionMatrix:
     at the columns successor[h][a][b] of the strategy module's successor
     table (h's oldest round dropped, the fresh (a, b) pair appended); kA is
     the table's follower index follower[h][A] for leader action A.
+
+    The four columns of a row are distinct (their low two bits are the
+    fresh pair), so each entry is assigned once, not accumulated.
     """
     memory = _shared_memory(p, q)
     n = 4**memory
@@ -57,7 +60,10 @@ def build_matrix_direct(p: Strategy, q: Strategy) -> TransitionMatrix:
             k = follower[h][a]
             for b in (0, 1):
                 q_factor = q.probs[k] if b == 0 else 1.0 - q.probs[k]
-                m[h, successor[h][a][b]] += p_factor * q_factor
+                m[h, successor[h][a][b]] = p_factor * q_factor
+    # A -0.0 probability makes -0.0 products; adding +0.0 gives each entry
+    # the +0.0 that accumulating into the zeros gave.
+    m += 0.0
     return TransitionMatrix(memory=memory, entries=m)
 
 

@@ -15,7 +15,14 @@ from altpd.chain import (
 )
 from altpd.errors import NonUniqueStationaryError, SingularPayoffError
 from altpd.payoff import payoff_by_determinant
-from altpd.strategy import PayoffParams, Strategy, all_c, all_d, random_strategy
+from altpd.strategy import (
+    PayoffParams,
+    Strategy,
+    _successor_table,
+    all_c,
+    all_d,
+    random_strategy,
+)
 
 RNG = np.random.default_rng(0)
 PARAMS = PayoffParams(b=1.0, c=0.3)
@@ -72,6 +79,46 @@ def test_rows_are_stochastic_with_four_successors():
             assert np.max(np.abs(m.entries.sum(axis=1) - 1.0)) < 1e-12
             assert np.min(m.entries) >= 0.0
             assert np.all((m.entries > 0).sum(axis=1) <= 4)
+
+
+def _accumulated_reference(p, q):
+    """The direct build as it accumulated: each product added into zeros."""
+    follower, successor = _successor_table(p.memory)
+    m = np.zeros((p.n_states, p.n_states))
+    for h in range(p.n_states):
+        for a in (0, 1):
+            p_factor = p.probs[h] if a == 0 else 1.0 - p.probs[h]
+            k = follower[h][a]
+            for b in (0, 1):
+                q_factor = q.probs[k] if b == 0 else 1.0 - q.probs[k]
+                m[h, successor[h][a][b]] += p_factor * q_factor
+    return m
+
+
+@pytest.mark.parametrize("memory", [1, 2, 3, 4])
+def test_each_row_has_four_distinct_successor_columns(memory):
+    # The direct build assigns each entry once, which needs this.
+    _, successor = _successor_table(memory)
+    for row in successor:
+        assert len({column for pair in row for column in pair}) == 4
+
+
+def _with_negative_zeros(memory, rng):
+    probs = rng.random(4**memory)
+    probs[rng.random(probs.size) < 0.5] = -0.0
+    return Strategy(probs)
+
+
+def test_direct_build_matches_the_accumulated_build_byte_for_byte(pair_corpus):
+    rng = np.random.default_rng(34)
+    signed = [
+        (memory, "negative zeros", *(_with_negative_zeros(memory, rng) for _ in "pq"))
+        for memory in (1, 2, 3)
+        for _ in range(5)
+    ]
+    for memory, kind, p, q in [*pair_corpus, *signed]:
+        built = build_matrix_direct(p, q).entries
+        assert built.tobytes() == _accumulated_reference(p, q).tobytes(), (memory, kind)
 
 
 def test_mismatched_memory_rejected():

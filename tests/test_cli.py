@@ -128,7 +128,9 @@ class TestMatrix:
 
     # sha256 of `altpd matrix` stdout as recorded while CSV cells were still
     # formatted through repr(float(x)); the memory-3 CSV cells are numpy
-    # float64 values.
+    # float64 values. The signed-zero digest was recorded while the direct
+    # build accumulated into zeros: a -0.0 probability prints row 0 as
+    # [0.0, 0.0, 0.4, 0.6], not [-0.0, -0.0, 0.4, 0.6].
     @pytest.mark.parametrize(
         "args, digest",
         [
@@ -140,8 +142,12 @@ class TestMatrix:
                 ["--n", "3", "--p", "random:1", "--q", "random:2", "--format", "csv"],
                 "d8d248e6441c5e7c200e94e0097a78a69000b3e9f646d6176f5a44589a62abd1",
             ),
+            (
+                ["--p=-0.0,0.5,0.5,0.5", "--q", "0.3,0.4,0.5,0.6"],
+                "5ae907e05976ee452ec2bf07a27954daeca107b1e36bea94fe45327d6d00954c",
+            ),
         ],
-        ids=["json-memory-one", "csv-memory-three"],
+        ids=["json-memory-one", "csv-memory-three", "json-signed-zero"],
     )
     def test_output_bytes_are_unchanged(self, capsys, args, digest):
         code, out, _ = run_cli(["matrix", *args], capsys)

@@ -581,6 +581,20 @@ def test_boundary_halt_keeps_states_inside():
     assert np.max(trajectory.states) <= 1.0 + 1e-6
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the memory-N stencil needs 1e-6 of room, so a regular start near a "
+    "face halts 'singular'; the exact gradient (ROADMAP item 2) removes it",
+)
+def test_memory_two_start_near_a_face_takes_steps():
+    x0 = np.full(16, 0.5)
+    x0[0] = 2e-6
+    trajectory = integrate(x0, PARAMS, 0.1, dt=1e-2)
+    assert trajectory.status != "singular"
+    assert len(trajectory.times) > 1
+
+
 def test_adaptive_and_fixed_step_agree():
     x0 = np.array([0.62, 0.35, 0.3, 0.45])
     fixed = integrate(x0, PARAMS, 3.0, method="rk4")
