@@ -61,8 +61,8 @@ def build_matrix_direct(p: Strategy, q: Strategy) -> TransitionMatrix:
             for b in (0, 1):
                 q_factor = q.probs[k] if b == 0 else 1.0 - q.probs[k]
                 m[h, successor[h][a][b]] = p_factor * q_factor
-    # A -0.0 probability makes -0.0 products; adding +0.0 gives each entry
-    # the +0.0 that accumulating into the zeros gave.
+    # A -0.0 probability makes -0.0 products; adding +0.0 maps them to +0.0
+    # and leaves every other entry as it is.
     m += 0.0
     return TransitionMatrix(memory=memory, entries=m)
 

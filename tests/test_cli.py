@@ -128,9 +128,8 @@ class TestMatrix:
 
     # sha256 of `altpd matrix` stdout as recorded while CSV cells were still
     # formatted through repr(float(x)); the memory-3 CSV cells are numpy
-    # float64 values. The signed-zero digest was recorded while the direct
-    # build accumulated into zeros: a -0.0 probability prints row 0 as
-    # [0.0, 0.0, 0.4, 0.6], not [-0.0, -0.0, 0.4, 0.6].
+    # float64 values. In the signed-zero output a -0.0 probability prints
+    # row 0 as [0.0, 0.0, 0.4, 0.6], not [-0.0, -0.0, 0.4, 0.6].
     @pytest.mark.parametrize(
         "args, digest",
         [
