@@ -49,21 +49,27 @@ def build_matrix_direct(p: Strategy, q: Strategy) -> TransitionMatrix:
 
     The four columns of a row are distinct (their low two bits are the
     fresh pair), so each entry is assigned once, not accumulated.
+
+    The products are formed on Python floats (the probabilities are read
+    once per call with tolist()), not on numpy scalars. Both are IEEE
+    float64 with round-to-nearest, so every complement and product has the
+    same bits either way. A -0.0 probability makes -0.0 products; each
+    product gets +0.0 added as it is formed, which maps -0.0 to +0.0 and
+    leaves every other value as it is.
     """
     memory = _shared_memory(p, q)
     n = 4**memory
     follower, successor = _successor_table(memory)
+    p_probs, q_probs = p.probs.tolist(), q.probs.tolist()
     m = np.zeros((n, n))
     for h in range(n):
+        p_c = p_probs[h]
         for a in (0, 1):
-            p_factor = p.probs[h] if a == 0 else 1.0 - p.probs[h]
-            k = follower[h][a]
+            p_factor = p_c if a == 0 else 1.0 - p_c
+            q_c = q_probs[follower[h][a]]
             for b in (0, 1):
-                q_factor = q.probs[k] if b == 0 else 1.0 - q.probs[k]
-                m[h, successor[h][a][b]] = p_factor * q_factor
-    # A -0.0 probability makes -0.0 products; adding +0.0 maps them to +0.0
-    # and leaves every other entry as it is.
-    m += 0.0
+                q_factor = q_c if b == 0 else 1.0 - q_c
+                m[h, successor[h][a][b]] = p_factor * q_factor + 0.0
     return TransitionMatrix(memory=memory, entries=m)
 
 

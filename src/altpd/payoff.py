@@ -15,7 +15,7 @@ import numpy as np
 
 from .chain import TransitionMatrix, _identity, build_matrix_direct, stationary
 from .errors import SingularPayoffError
-from .strategy import PayoffParams, Strategy
+from .strategy import PayoffParams, Strategy, _shared_memory
 
 __all__ = [
     "build_payoff_vector",
@@ -68,9 +68,14 @@ def payoff_by_determinant(
     numerator and by ones for the denominator; the common cofactor scale
     cancels in the ratio. The two matrices are stacked so that one
     np.linalg.det call runs the same LU on each.
+
+    A prebuilt matrix must be the pair's: ValueError unless its memory is
+    the pair's shared memory.
     """
     if matrix is None:
         matrix = build_matrix_direct(p, q)
+    elif matrix.memory != _shared_memory(p, q):
+        raise ValueError(f"matrix has memory {matrix.memory} but the pair has memory {p.memory}")
     m = matrix.entries
     n = m.shape[0]
     pair = np.empty((2, n, n))

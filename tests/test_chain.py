@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altpd import chain
 from altpd.chain import (
@@ -119,6 +121,24 @@ def test_direct_build_matches_the_accumulated_build_byte_for_byte(pair_corpus):
     for memory, kind, p, q in [*pair_corpus, *signed]:
         built = build_matrix_direct(p, q).entries
         assert built.tobytes() == _accumulated_reference(p, q).tobytes(), (memory, kind)
+
+
+# Signed zeros, the smallest subnormal and the largest float below 1 (whose
+# complement is 2^-53), beside 1/2 and any float in [0, 1].
+_EDGE_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@pytest.mark.parametrize("memory", [1, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_direct_build_matches_the_accumulated_build_on_edge_entries(memory, data):
+    entries = st.lists(_EDGE_ENTRIES, min_size=4**memory, max_size=4**memory)
+    p, q = (Strategy(np.array(data.draw(entries))) for _ in "pq")
+    built = build_matrix_direct(p, q).entries
+    assert built.tobytes() == _accumulated_reference(p, q).tobytes()
 
 
 def test_mismatched_memory_rejected():

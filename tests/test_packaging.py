@@ -212,6 +212,17 @@ def test_only_strategy_states_the_history_shift_rule():
     assert ("strategy.py", "_shift_in") in shifts
 
 
+def test_the_direct_matrix_reads_the_successor_table_and_not_the_pattern():
+    # The direct and recursive matrix routes check each other only while
+    # they share no index: the direct build reads strategy's successor
+    # table, and chain._pattern serves the recursive build and the
+    # stationary solve's zero-entry test alone.
+    chain = ROOT / "src" / "altpd" / "chain.py"
+    assert ("chain.py", "build_matrix_direct") in set(_reads_of("_successor_table", chain))
+    readers = {reader for path in SOURCES for reader in _reads_of("_pattern", path)}
+    assert readers == {("chain.py", "build_matrix_recursive"), ("chain.py", "stationary")}
+
+
 def test_per_memory_constants_are_cached():
     # Tier-1 times nothing, so only this keeps a refactor from rebuilding
     # these on every call: each depends on the memory (and the payoff

@@ -132,6 +132,21 @@ def test_determinant_accepts_prebuilt_matrix():
     )
 
 
+def test_determinant_rejects_a_matrix_of_another_memory():
+    # The prebuilt matrix is the pair's only when the memories agree; a
+    # memory-1 pair given a memory-2 matrix must not get that chain's payoff.
+    p, q = random_strategy(1, RNG), random_strategy(1, RNG)
+    other = build_matrix_direct(random_strategy(2, RNG), random_strategy(2, RNG))
+    with pytest.raises(ValueError, match="matrix has memory 2 but the pair has memory 1"):
+        payoff_by_determinant(p, q, PARAMS, other)
+    own = build_matrix_direct(p, q)
+    wide = random_strategy(2, RNG), random_strategy(2, RNG)
+    with pytest.raises(ValueError, match="matrix has memory 1 but the pair has memory 2"):
+        payoff_by_determinant(*wide, PARAMS, own)
+    with pytest.raises(ValueError, match="share the same memory"):
+        payoff_by_determinant(p, wide[1], PARAMS, own)
+
+
 def test_determinant_singular_on_two_closed_classes():
     s = Strategy(np.array([1.0, 0.5, 0.5, 0.0]))
     with pytest.raises(SingularPayoffError):
