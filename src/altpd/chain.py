@@ -74,12 +74,10 @@ def build_matrix_direct(p: Strategy, q: Strategy) -> TransitionMatrix:
 
 
 # Entry pattern of the memory-1 matrix, row by row: each entry is
-# (+-)p[p_idx] * (+-)q[q_idx] with the complement flags below.
+# (+-)p[p_idx] * (+-)q[q_idx] at column col.
 _BASE_COL = np.array([[0, 1, 2, 3]] * 4)
 _BASE_P_IDX = np.array([[0] * 4, [1] * 4, [2] * 4, [3] * 4])
-_BASE_P_COMP = np.array([[False, False, True, True]] * 4)
 _BASE_Q_IDX = np.array([[0, 0, 1, 1], [2, 2, 3, 3], [0, 0, 1, 1], [2, 2, 3, 3]])
-_BASE_Q_COMP = np.array([[False, True, False, True]] * 4)
 
 
 @lru_cache(maxsize=None)
@@ -94,13 +92,7 @@ def _pattern(memory: int):
     Every array is flat and read-only, four entries per row; the flat index
     row * 4^N + col addresses each entry in the raveled matrix.
     """
-    col, p_idx, p_comp, q_idx, q_comp = (
-        _BASE_COL,
-        _BASE_P_IDX,
-        _BASE_P_COMP,
-        _BASE_Q_IDX,
-        _BASE_Q_COMP,
-    )
+    col, p_idx, q_idx = _BASE_COL, _BASE_P_IDX, _BASE_Q_IDX
     for m in range(1, memory):
         n_old = 4**m
         quarter = n_old // 4
@@ -116,9 +108,11 @@ def _pattern(memory: int):
             g2 = g & 1
             new_q_idx[rows] = (g2 << (2 * m + 1)) | (old_first_bit << (2 * m)) | q_idx
         col, p_idx, q_idx = new_col, new_p_idx, new_q_idx
-        p_comp = np.tile(p_comp, (4, 1))
-        q_comp = np.tile(q_comp, (4, 1))
     n = 4**memory
+    # Every row at every memory lists its successors for the fresh rounds
+    # CC, CD, DC, DD, so every row has the same complement flags.
+    p_comp = np.tile([False, False, True, True], n)
+    q_comp = np.tile([False, True, False, True], n)
     flat = np.arange(n)[:, None] * n + col
     pattern = tuple(a.ravel() for a in (flat, p_idx, p_comp, q_idx, q_comp))
     for a in pattern:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from altpd.chain import build_matrix_direct
+from altpd.chain import build_matrix_direct, build_matrix_recursive
 from altpd.errors import SingularPayoffError
 from altpd.payoff import (
     _exact_payoff_vector,
@@ -145,6 +145,24 @@ def test_determinant_rejects_a_matrix_of_another_memory():
         payoff_by_determinant(*wide, PARAMS, own)
     with pytest.raises(ValueError, match="share the same memory"):
         payoff_by_determinant(p, wide[1], PARAMS, own)
+
+
+def test_determinant_rejects_another_pairs_matrix():
+    # A matrix of the pair's memory built for another pair gave that pair's
+    # payoff (0.30586 against 0.36987); row 0 of the matrix tells them apart.
+    rng = np.random.default_rng(1)
+    p, q, r, s = (random_strategy(1, rng) for _ in range(4))
+    for other in (build_matrix_direct(r, s), build_matrix_direct(q, p)):
+        with pytest.raises(ValueError, match="row 0 does not hold the pair's products"):
+            payoff_by_determinant(p, q, PayoffParams(), other)
+    own = payoff_by_determinant(p, q, PayoffParams(), build_matrix_direct(p, q))
+    assert own == payoff_by_determinant(p, q, PayoffParams())
+    assert round(own, 5) == 0.36987
+    wide = random_strategy(2, rng), random_strategy(2, rng)
+    recursive = build_matrix_recursive(*wide)
+    assert payoff_by_determinant(*wide, PARAMS, recursive) == pytest.approx(
+        payoff_by_determinant(*wide, PARAMS), abs=1e-12
+    )
 
 
 def test_determinant_singular_on_two_closed_classes():

@@ -16,9 +16,12 @@ from altpd.dynamics import (
 )
 from altpd.errors import DegenerateTorusError, FieldSingularError
 from altpd.strategy import PayoffParams
+import altpd.torus
 from altpd.torus import (
     _angle_rates,
     _march_cells,
+    _phi_candidates,
+    _psi_candidates,
     _wrap,
     AdmissibleRectangle,
     TorusLevel,
@@ -441,6 +444,40 @@ class TestSlowAveraging:
         assert a == pytest.approx(b, abs=1e-14)
 
 
+def _gap(a, b):
+    """Distance between two angles mod 2 pi."""
+    d = abs(a - b) % TWO_PI
+    return min(d, TWO_PI - d)
+
+
+def _triplicate_psi_candidates(level, c):
+    """The psi roots with three pi-shifts each, as they were first enumerated."""
+    scale = 2.0 * c * math.sqrt(1.0 + c * c)
+    s = (level.c2 + 2.0 * level.c2 * c * c - level.c1) / (scale * level.c2)
+    if abs(s) > 1.0:
+        return []
+    alpha = math.acos(c / math.sqrt(1.0 + c * c))
+    asin_s = math.asin(s)
+    out = []
+    for base in ((alpha + asin_s) / 2.0, (alpha + math.pi - asin_s) / 2.0):
+        for k in (-1, 0, 1):
+            out.append(_wrap(base + k * math.pi))
+    return out
+
+
+def _triplicate_phi_candidates(psi, level):
+    """The phi roots with three 2 pi-shifts each, as they were first enumerated."""
+    ratio = math.sqrt(level.c2 / level.c1) * math.sin(psi - math.pi / 4.0)
+    if abs(ratio) > 1.0:
+        return []
+    asin_r = math.asin(ratio)
+    out = []
+    for base in (math.pi / 4.0 + asin_r, math.pi / 4.0 + math.pi - asin_r):
+        for k in (-1, 0, 1):
+            out.append(_wrap(base + 2.0 * k * math.pi))
+    return out
+
+
 class TestTorusEquilibria:
     def test_count_bounded_by_four(self):
         rng = np.random.default_rng(12)
@@ -551,6 +588,88 @@ class TestTorusEquilibria:
             seen += len(found)
         assert [len(angles(level, params)) for params, level in figures] == [1] * 8
         assert seen > len(figures)
+
+    def test_each_root_is_enumerated_once(self):
+        # sin(2 psi - alpha) = s has four roots mod 2 pi and
+        # sin(phi - pi/4) = r two; each is generated once, so a level
+        # evaluates the field at most eight times. At a psi root
+        # C1/C2 - sin^2(psi - pi/4) = (cos(psi - pi/4) - 2c sin(psi - pi/4))^2,
+        # so |r| <= 1 and only rounding can leave phi without roots.
+        rng = np.random.default_rng(15)
+        sizes = set()
+        for _ in range(2000):
+            c = rng.uniform(0.001, 0.999)
+            level = TorusLevel(*rng.uniform(1e-6, 2.0, 2))
+            hyp = math.sqrt(1.0 + c * c)
+            s = (level.c2 * (1.0 + 2.0 * c * c) - level.c1) / (2.0 * c * hyp * level.c2)
+            alpha = math.acos(c / hyp)
+            psis = _psi_candidates(level, c)
+            sizes.add(("psi", len(psis)))
+            assert len(psis) in (0, 4)
+            for psi in psis:
+                assert abs(math.sin(2.0 * psi - alpha) - s) <= 1e-12
+            if psis and abs(s) < 0.999:
+                assert min(_gap(a, b) for i, a in enumerate(psis) for b in psis[:i]) > 1e-3
+            for psi in psis:
+                r = math.sqrt(level.c2 / level.c1) * math.sin(psi - math.pi / 4.0)
+                phis = _phi_candidates(psi, level)
+                sizes.add(("phi", len(phis)))
+                assert len(phis) in (0, 2)
+                for phi in phis:
+                    assert abs(math.sin(phi - math.pi / 4.0) - r) <= 1e-12
+                if phis and abs(r) < 0.999:
+                    assert _gap(*phis) > 1e-3
+        assert sizes >= {("psi", 0), ("psi", 4), ("phi", 2)}
+
+    def test_match_the_triplicate_enumeration_bit_for_bit(self, monkeypatch):
+        # Every root used to be generated with three pi- (psi) or 2 pi-shifts
+        # (phi), and the first copy in the rectangle was kept. There it has
+        # the kept root's bits: a psi root is base + pi with base in
+        # (pi/2, pi], where base - pi is exact (Sterbenz) and wrapping adds
+        # 2pi back; phi and phi -+ 2pi round on one grid of step ulp(4).
+        rng = np.random.default_rng(16)
+        regimes = (
+            lambda: rng.uniform(1e-6, 2.0),
+            lambda: rng.uniform(1e-9, 1e-3),
+            lambda: 2.0 - rng.uniform(0.0, 1e-3),
+        )
+        drawn = []
+        for i in range(6000):
+            b = (1.0, 2.0, 1e-6, 1e8)[i % 4]
+            c1, c2 = (regimes[rng.integers(3)]() for _ in range(2))
+            params = PayoffParams(b, rng.uniform(0.001, 0.999) * b)
+            drawn.append((params, TorusLevel(c1, c2)))
+        # s = sign (|s| = 1) at C1 = C2 (1 + 2c^2 - sign 2c sqrt(1 + c^2)).
+        psi_tangent = []
+        while len(psi_tangent) < 1000:
+            ratio, c2 = rng.uniform(0.001, 0.999), rng.uniform(1e-6, 2.0)
+            sign = (1.0, -1.0)[len(psi_tangent) % 2]
+            c1 = c2 * (1.0 + 2.0 * ratio * ratio - sign * 2.0 * ratio * math.sqrt(1.0 + ratio * ratio))
+            if c1 <= 2.0:
+                psi_tangent.append((PayoffParams(1.0, ratio), TorusLevel(c1, c2)))
+        # |r| = 1 at a psi root where cos(psi - pi/4) = 2c sin(psi - pi/4),
+        # which puts psi = 5pi/4 + atan(1/2c) in the rectangle for c < 1/2
+        # and C1 = C2 / (1 + 4c^2). Both phi branches meet at 7pi/4 there,
+        # and the dedupe keeps one.
+        phi_tangent = [
+            (PayoffParams(1.0, ratio), TorusLevel(c2 / (1.0 + 4.0 * ratio * ratio), c2))
+            for ratio, c2 in zip(rng.uniform(0.001, 0.5, 1000), rng.uniform(1e-6, 2.0, 1000))
+        ]
+        cases = drawn + psi_tangent + phi_tangent
+
+        def angles():
+            return [
+                [(pt.phi, pt.psi) for pt in torus_equilibria(level, params)]
+                for params, level in cases
+            ]
+
+        once = angles()
+        monkeypatch.setattr(altpd.torus, "_psi_candidates", _triplicate_psi_candidates)
+        monkeypatch.setattr(altpd.torus, "_phi_candidates", _triplicate_phi_candidates)
+        thrice = angles()
+        assert [np.array(f).tobytes() for f in once] == [np.array(f).tobytes() for f in thrice]
+        assert sum(map(len, once[: len(drawn)])) > 200
+        assert sum(map(len, once[-len(phi_tangent) :])) > 200
 
 
 class TestTrajectory:
