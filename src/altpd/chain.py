@@ -59,18 +59,30 @@ def build_matrix_direct(p: Strategy, q: Strategy) -> TransitionMatrix:
     """
     memory = _shared_memory(p, q)
     n = 4**memory
-    follower, successor = _successor_table(memory)
-    p_probs, q_probs = p.probs.tolist(), q.probs.tolist()
     m = np.zeros((n, n))
-    for h in range(n):
-        p_c = p_probs[h]
+    _fill_rows(m, range(n), p.probs.tolist(), q.probs.tolist(), memory)
+    return TransitionMatrix(memory=memory, entries=m)
+
+
+def _fill_rows(m, rows, p_probs, q_probs, memory: int) -> None:
+    """Write the quadruple of each history h in rows into m[h][col], at its
+    four successor columns col, as build_matrix_direct's docstring states.
+
+    p_probs and q_probs are lists of Python floats. Only those four entries
+    of each row are written: the caller supplies the zeros elsewhere, and
+    m[h] may be a dict that collects just the four. The products depend on
+    the probabilities alone, so a row written into any matrix has the bits
+    it has in a full build.
+    """
+    follower, successor = _successor_table(memory)
+    for h in rows:
+        row, p_c = m[h], p_probs[h]
         for a in (0, 1):
             p_factor = p_c if a == 0 else 1.0 - p_c
             q_c = q_probs[follower[h][a]]
             for b in (0, 1):
                 q_factor = q_c if b == 0 else 1.0 - q_c
-                m[h, successor[h][a][b]] = p_factor * q_factor + 0.0
-    return TransitionMatrix(memory=memory, entries=m)
+                row[successor[h][a][b]] = p_factor * q_factor + 0.0
 
 
 # Entry pattern of the memory-1 matrix, row by row: each entry is

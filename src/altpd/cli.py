@@ -249,12 +249,17 @@ def _rows(columns):
 def _write(path: str, chunks) -> None:
     """Write each chunk (a CSV line or a piece of a JSON document) to
     stdout (path None or "-") or to the file at path as soon as it is
-    produced, so no copy of a whole table or document is held."""
+    produced, so no copy of a whole table or document is held. A path that
+    cannot be opened is a usage error, as an unreadable config file is."""
     if path is None or path == "-":
         sys.stdout.writelines(chunks)
-    else:
-        with open(path, "w") as out:
-            out.writelines(chunks)
+        return
+    try:
+        out = open(path, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+    with out:
+        out.writelines(chunks)
 
 
 def _run_matrix(config: RunConfig) -> int:

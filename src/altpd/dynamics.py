@@ -27,6 +27,7 @@ from functools import partial
 
 import numpy as np
 
+from .chain import _fill_rows, build_matrix_direct
 from .errors import FieldSingularError, NotAnEquilibriumError
 from .payoff import payoff_by_determinant
 from .strategy import PayoffParams, Strategy, _step_count
@@ -225,6 +226,13 @@ def field_numeric(x, params: PayoffParams) -> np.ndarray:
 
     Differentiates the mutant leader's payoff in each leader coordinate
     with the resident follower held fixed at x, with step h = 1e-6.
+
+    The leader's probability y_j enters row j of M(y, x) and no other row,
+    so M(x, x) is built once per call. For each coordinate j, row j alone
+    is rewritten for x + h e_j and for x - h e_j by the direct build's own
+    _fill_rows, then written back with x_j. A row's products depend on its
+    probabilities alone, so every patched matrix, and so every payoff, has
+    the bytes that a full build_matrix_direct at that point gives.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -232,10 +240,24 @@ def field_numeric(x, params: PayoffParams) -> np.ndarray:
     h = _STENCIL_STEP
     if np.any(x <= h) or np.any(x >= 1.0 - h):
         raise ValueError("state must lie in (h, 1-h) for the stencil")
-    follower = Strategy(tuple(x))
-    return _central_differences(
-        lambda y: payoff_by_determinant(Strategy(tuple(y)), follower, params), x, h
-    )
+    follower = Strategy(x)
+    matrix = build_matrix_direct(follower, follower)
+    m, q_probs = matrix.entries, follower.probs.tolist()
+
+    def payoff_at(y, j):
+        leader = Strategy(y)
+        _fill_rows(m, (j,), leader.probs.tolist(), q_probs, matrix.memory)
+        return payoff_by_determinant(leader, follower, params, matrix)
+
+    rows = []
+    for j in range(x.size):
+        hi, lo = x.copy(), x.copy()
+        hi[j] += h
+        lo[j] -= h
+        rows.append((payoff_at(hi, j) - payoff_at(lo, j)) / (2.0 * h))
+        # The same four columns again, with x's probability: M(x, x).
+        _fill_rows(m, (j,), q_probs, q_probs, matrix.memory)
+    return np.array(rows)
 
 
 def jacobian(x, params: PayoffParams) -> np.ndarray:

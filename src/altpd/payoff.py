@@ -13,9 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import TransitionMatrix, _identity, build_matrix_direct, stationary
+from .chain import TransitionMatrix, _fill_rows, _identity, build_matrix_direct, stationary
 from .errors import SingularPayoffError
-from .strategy import PayoffParams, Strategy, _shared_memory, _successor_table
+from .strategy import PayoffParams, Strategy, _shared_memory
 
 __all__ = [
     "build_payoff_vector",
@@ -71,19 +71,19 @@ def payoff_by_determinant(
 
     A prebuilt matrix must be the pair's: ValueError unless its memory is
     the pair's shared memory and its row 0 holds exactly the products that
-    build_matrix_direct forms there (one row, so the check stays cheap).
+    build_matrix_direct forms there, by the same _fill_rows (one row, so
+    the check stays cheap).
     """
     if matrix is None:
         matrix = build_matrix_direct(p, q)
     elif matrix.memory != _shared_memory(p, q):
         raise ValueError(f"matrix has memory {matrix.memory} but the pair has memory {p.memory}")
     else:
-        follower, successor = _successor_table(matrix.memory)
-        row, p_c = matrix.entries[0], p.probs.item(0)
-        for a, p_factor in enumerate((p_c, 1.0 - p_c)):
-            q_c = q.probs.item(follower[0][a])
-            col_c, col_d = successor[0][a]
-            if row.item(col_c) != p_factor * q_c or row.item(col_d) != p_factor * (1.0 - q_c):
+        expected = {0: {}}  # row 0's four successor columns and products
+        _fill_rows(expected, (0,), p.probs.tolist(), q.probs.tolist(), matrix.memory)
+        row = matrix.entries[0]
+        for col, product in expected[0].items():
+            if row.item(col) != product:
                 raise ValueError("matrix row 0 does not hold the pair's products")
     m = matrix.entries
     n = m.shape[0]

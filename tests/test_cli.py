@@ -645,12 +645,20 @@ class TestConfigAndErrors:
             ["matrix", "--no-such-flag"],
             ["matrix", "--p", "allc", "--q", "allc", "--rounds", "5"],
             ["verify", "--corrupt-payoff"],
+            # {missing} is a directory that does not exist under tmp_path.
+            ["matrix", "--p", "allc", "--q", "allc", "--out", "{missing}/m.json"],
+            [*INTEGRATE, "--t", "0.1", "--out", "{missing}/r.csv"],
+            ["torus", "--out", "{missing}/fig"],
         ],
     )
-    def test_usage_errors_exit_64(self, capsys, args):
-        code, _, err = run_cli(args, capsys)
+    def test_usage_errors_exit_64(self, capsys, tmp_path, args):
+        missing = str(tmp_path / "missing")
+        code, _, err = run_cli([a.replace("{missing}", missing) for a in args], capsys)
         assert code == 64
         assert err
+        assert "Traceback" not in err
+        if any("{missing}" in a for a in args):
+            assert err.startswith(f"error: cannot write {missing}/")
 
     def test_no_option_is_hidden_from_help(self):
         # Every option a user can pass shows in `--help`; a fault a test

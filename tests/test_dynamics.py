@@ -33,6 +33,7 @@ from altpd.dynamics import (
 )
 from altpd.chain import build_matrix_direct, stationary
 from altpd.errors import FieldSingularError, NotAnEquilibriumError
+from altpd.payoff import payoff_by_determinant
 from altpd.strategy import PayoffParams, Strategy, _successor_table
 from altpd.torus import to_torus, torus_field
 
@@ -150,6 +151,68 @@ def test_pair_identity_on_the_closed_form():
     for x, g in zip(xs, field_closed_form(xs, PARAMS)):
         gap, scale = _pair_gap(g, x)
         assert gap <= 1e-13 * scale, x
+
+
+def _stencil_points(memory, rng):
+    """Random interior points, lifted memory-1 points, and points with
+    coordinates 1e-6 (1 + 1e-9) from a face, just inside the stencil's room."""
+    n = 4**memory
+    near = 1e-6 * (1.0 + 1e-9)
+    points = [rng.uniform(0.01, 0.99, n) for _ in range(2)]
+    points += [rng.uniform(0.05, 0.95, 4)[np.arange(n) & 3] for _ in range(2)]
+    for _ in range(2):
+        x = rng.uniform(0.05, 0.95, n)
+        x[rng.integers(n, size=max(1, n // 4))] = near
+        x[rng.integers(n, size=max(1, n // 8))] = 1.0 - near
+        points.append(x)
+    return points
+
+
+def _stencil_by_full_builds(x, params):
+    """field_numeric with a whole build_matrix_direct at every stencil point."""
+    h = 1e-6
+    follower = Strategy(x)
+    rows = []
+    for j in range(x.size):
+        hi, lo = x.copy(), x.copy()
+        hi[j] += h
+        lo[j] -= h
+        up, down = (
+            payoff_by_determinant(leader, follower, params, build_matrix_direct(leader, follower))
+            for leader in (Strategy(hi), Strategy(lo))
+        )
+        rows.append((up - down) / (2.0 * h))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("memory", [1, 2, 3])
+def test_the_row_patched_stencil_matches_full_builds_bit_for_bit(memory, monkeypatch):
+    # field_numeric builds M(x, x) once and rewrites row j per stencil
+    # point, since y_j enters row j of M(y, x) only. Every patched matrix,
+    # and so every field component, must have the bytes of a full build.
+    rng = np.random.default_rng(37 + memory)
+    seen = []
+
+    def spy(p, q, params, matrix):
+        seen.append(matrix.entries.tobytes())
+        return payoff_by_determinant(p, q, params, matrix)
+
+    monkeypatch.setattr("altpd.dynamics.payoff_by_determinant", spy)
+    h = 1e-6
+    for x in _stencil_points(memory, rng):
+        seen.clear()
+        got = field_numeric(x, PARAMS)
+        assert got.tobytes() == _stencil_by_full_builds(x, PARAMS).tobytes(), x
+        if memory == 3:
+            continue
+        follower = Strategy(x)
+        want = []
+        for j in range(x.size):
+            for step in (h, -h):
+                y = x.copy()
+                y[j] += step
+                want.append(build_matrix_direct(Strategy(y), follower).entries.tobytes())
+        assert seen == want, x
 
 
 def test_pair_identity_on_the_memory_two_stencil():

@@ -214,13 +214,26 @@ def test_only_strategy_states_the_history_shift_rule():
 
 def test_the_direct_matrix_reads_the_successor_table_and_not_the_pattern():
     # The direct and recursive matrix routes check each other only while
-    # they share no index: the direct build reads strategy's successor
-    # table, and chain._pattern serves the recursive build and the
-    # stationary solve's zero-entry test alone.
+    # they share no index: the direct build writes its rows with
+    # chain._fill_rows, which reads strategy's successor table, and
+    # chain._pattern serves the recursive build and the stationary solve's
+    # zero-entry test alone.
     chain = ROOT / "src" / "altpd" / "chain.py"
-    assert ("chain.py", "build_matrix_direct") in set(_reads_of("_successor_table", chain))
+    assert ("chain.py", "_fill_rows") in set(_reads_of("_successor_table", chain))
     readers = {reader for path in SOURCES for reader in _reads_of("_pattern", path)}
     assert readers == {("chain.py", "build_matrix_recursive"), ("chain.py", "stationary")}
+    # The row products are stated once, in _fill_rows: the direct build,
+    # the determinant payoff's row-0 check and field_numeric's patched
+    # stencil rows all come from it. (payoff.py, None) and (dynamics.py,
+    # None) are the imports.
+    fillers = {reader for path in SOURCES for reader in _reads_of("_fill_rows", path)}
+    assert fillers == {
+        ("chain.py", "build_matrix_direct"),
+        ("payoff.py", None),
+        ("payoff.py", "payoff_by_determinant"),
+        ("dynamics.py", None),
+        ("dynamics.py", "field_numeric"),
+    }
 
 
 def test_per_memory_constants_are_cached():
