@@ -797,18 +797,20 @@ class EquilibriumPoint:
 def classify_equilibrium(x, params: PayoffParams) -> EquilibriumPoint:
     """Classify a memory-1 equilibrium by its Jacobian spectrum.
 
-    The field must vanish at x (norm below 1e-8 b). Eigenvalues come from
-    the complex-step Jacobian of the closed form, so the near-zero pair is
-    resolved at machine precision; it is near zero below 1e-8 b, since the
-    field and its spectrum scale by b (see altpd.torus).
+    The field and its spectrum scale by b (see altpd.torus), so x is
+    judged at (1, c/b), where they neither overflow nor underflow: the
+    field's norm there must lie below 1e-8, and an eigenvalue of the
+    complex-step Jacobian of the closed form counts as near zero below
+    1e-8. The complex step resolves the near-zero pair at machine
+    precision. The eigenvalues returned are b times those at (1, c/b).
     """
     x = np.asarray(x, dtype=float)
     if x.size != 4:
         raise ValueError("classification requires memory 1")
-    norm = float(np.linalg.norm(field_closed_form(x, params)))
-    if norm >= _FIELD_ZERO_TOL * params.b:
+    unit = PayoffParams(1.0, params.c / params.b)
+    if np.linalg.norm(field_closed_form(x, unit)) >= _FIELD_ZERO_TOL:
         raise NotAnEquilibriumError("not an equilibrium")
-    eigenvalues = np.linalg.eigvals(jacobian(x, params))
+    eigenvalues = np.linalg.eigvals(jacobian(x, unit))
     order = np.argsort(-eigenvalues.real)
     eigenvalues = eigenvalues[order]
     on_face = bool(
@@ -817,10 +819,9 @@ def classify_equilibrium(x, params: PayoffParams) -> EquilibriumPoint:
     if on_face:
         label = "boundary"
     else:
-        zero_tol = _ZERO_EIG_TOL * params.b
-        near_zero = np.abs(eigenvalues) < zero_tol
+        near_zero = np.abs(eigenvalues) < _ZERO_EIG_TOL
         nonzero = eigenvalues[~near_zero]
-        if near_zero.sum() == 2 and np.all(np.abs(nonzero.imag) < zero_tol):
+        if near_zero.sum() == 2 and np.all(np.abs(nonzero.imag) < _ZERO_EIG_TOL):
             lam1, lam2 = sorted(nonzero.real, reverse=True)
             if lam1 > 0.0 and lam2 > 0.0:
                 label = "degenerate-source"
@@ -832,6 +833,6 @@ def classify_equilibrium(x, params: PayoffParams) -> EquilibriumPoint:
             label = "other"
     return EquilibriumPoint(
         tuple(float(v) for v in x),
-        tuple(complex(v) for v in eigenvalues),
+        tuple(complex(params.b * v.real, params.b * v.imag) for v in eigenvalues),
         label,
     )

@@ -25,7 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _CONSTS, _field_array, _field_components, _field_scalar, _levels, _march
+from .dynamics import (
+    _CONSTS, _field_array, _field_components, _field_scalar, _levels, _march,
+    interior_plane_point,
+)
 from .errors import DegenerateTorusError, FieldSingularError
 from .strategy import PayoffParams, _step_count
 
@@ -49,7 +52,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _DEGENERATE_TOL = 1e-14
-_EQUILIBRIUM_FIELD_TOL = 1e-8
 _ANGLE_DEDUPE_TOL = 1e-7
 _CONTOUR_CELLS = 200
 
@@ -264,14 +266,6 @@ def _psi_candidates(level: TorusLevel, c: float) -> list:
     return [_wrap(base + k * math.pi) for base in bases for k in (0, 1)]
 
 
-def _phi_candidates(psi: float, level: TorusLevel) -> list:
-    ratio = math.sqrt(level.c2 / level.c1) * math.sin(psi - math.pi / 4.0)
-    if abs(ratio) > 1.0:
-        return []
-    asin_r = math.asin(ratio)
-    return [_wrap(math.pi / 4.0 + asin_r), _wrap(math.pi / 4.0 + math.pi - asin_r)]
-
-
 def _angle_close(a: float, b: float) -> bool:
     d = abs(a - b) % _TWO_PI
     return min(d, _TWO_PI - d) < _ANGLE_DEDUPE_TOL
@@ -280,34 +274,33 @@ def _angle_close(a: float, b: float) -> bool:
 def torus_equilibria(level: TorusLevel, params: PayoffParams) -> list:
     """Equilibria of the reduced field inside the admissible rectangle.
 
-    psi solves sin(2 psi - alpha) = s: two arcsine roots and their
-    pi-shifts, four roots mod 2pi. Each psi gives two phi roots of
-    sin(phi - pi/4) = r, r proportional to sin(psi - pi/4): at most 8
-    candidate pairs, none where an arcsine argument leaves [-1, 1]. Those
-    in the open rectangle that annihilate the reduced field to 1e-8 b are
-    kept; that test refuses a spurious phi-branch at each psi root in the
-    rectangle (1,931 of 3,862 over 20,000 seeded draws), and the dedupe
-    merges tangent branches. At most four survive.
+    They are the points where the interior plane meets the torus. psi
+    solves sin(2 psi - alpha) = s: two arcsine roots and their pi-shifts,
+    four roots mod 2pi. At each root, (x2, x4) is the torus point of angle
+    psi, and dynamics.interior_plane_point gives the plane's (x1, x3)
+    there; s is derived so that (x1 - 1)^2 + x3^2 = C1, so phi is the
+    angle of that point, as in to_torus, and each psi has one phi. The
+    pairs in the open rectangle are kept, and the dedupe merges tangent
+    roots, so at most four remain. The plane is read at the cost ratio,
+    so the equilibria at (b, c) are those at (1, c/b).
     """
     rect = admissible_rectangle(level)
+    unit = PayoffParams(1.0, params.c / params.b)
+    r2 = math.sqrt(level.c2)
     found = []
-    for psi in _psi_candidates(level, params.c / params.b):
-        for phi in _phi_candidates(psi, level):
-            if not rect.contains(phi, psi):
-                continue
-            pt = TorusPoint(phi, psi, level)
-            try:
-                f = torus_field(pt, params)
-            except FieldSingularError:
-                continue
-            if max(abs(f[0]), abs(f[1])) >= _EQUILIBRIUM_FIELD_TOL * params.b:
-                continue
-            if any(
-                _angle_close(pt.phi, q.phi) and _angle_close(pt.psi, q.psi)
-                for q in found
-            ):
-                continue
-            found.append(pt)
+    for psi in _psi_candidates(level, unit.c):
+        x1, _, x3, _ = interior_plane_point(
+            1.0 + r2 * math.sin(psi), r2 * math.cos(psi), unit
+        )
+        pt = TorusPoint(math.atan2(x1 - 1.0, x3), psi, level)
+        if not rect.contains(pt.phi, pt.psi):
+            continue
+        if any(
+            _angle_close(pt.phi, q.phi) and _angle_close(pt.psi, q.psi)
+            for q in found
+        ):
+            continue
+        found.append(pt)
     return found
 
 

@@ -373,7 +373,9 @@ class TestTorus:
     # one cell at a time and the angles stepped on the generic tuple RK4.
     # The levels-below-one fig_equilibria.json digest was re-recorded when
     # jacobian's complex step moved to Python complex numbers, which moves
-    # its eigenvalues by roundoff (near-zero pair ~1e-16); the
+    # its eigenvalues by roundoff (near-zero pair ~1e-16), and again when
+    # torus_equilibria took phi from the interior plane: phi moved by one
+    # ulp, x1 and x3 by ~5e-16 and the eigenvalues by at most 6e-15. The
     # classifications are unchanged.
     @pytest.mark.parametrize(
         "args, digests",
@@ -383,7 +385,7 @@ class TestTorus:
                 {
                     "fig_field.csv": "1d7ae04a8e513801187b3ca25f71041638431a8a1e88359dbe43685a44b244aa",
                     "fig_contour.csv": "67462d876650eebf5f6c6a0c75bee67fe0efb158dd845f948c63556607d613dd",
-                    "fig_equilibria.json": "d82c14ed7353903b98e520135d1548b45e039de232d99fd4676f2c2514ea58df",
+                    "fig_equilibria.json": "dd3c0e4db8878f37d3a98514798fc7b81a7701d0aba4a39cd77e5f694e0c8c65",
                 },
             ),
             (
@@ -543,11 +545,18 @@ class TestVerify:
         assert len(torus) == 1 and torus[0].startswith("PASS torus commuting diagram")
 
     @pytest.mark.parametrize(
-        "b, c", [("2", "0.6"), ("1e3", "300"), ("1e4", "3000"), ("1e8", "3e7"), ("1e-6", "3e-7")]
+        "b, c",
+        [
+            ("2", "0.6"), ("1e3", "300"), ("1e4", "3000"), ("1e8", "3e7"), ("1e-6", "3e-7"),
+            ("1e300", "3e299"), ("1e-300", "3e-301"),
+        ],
     )
     def test_every_check_passes_on_the_benefits_clock(self, capsys, b, c):
         # b only rescales time and payoffs, so the suite's horizons and
         # steps are in units of 1/b and its payoff deviations in units of b.
+        # The oracle's squared deviations are formed in units of b: on the
+        # payoffs themselves they overflowed at b = 1e300 and underflowed
+        # to a zero standard error at b = 1e-300.
         code, out, err = run_cli(["verify", "--b", b, "--c", c], capsys)
         assert (code, err) == (0, "")
         lines = out.splitlines()

@@ -1034,14 +1034,16 @@ def test_continuation_past_the_face_is_a_degenerate_source():
 
 
 def test_classification_depends_on_the_cost_ratio_alone():
-    # The field and its spectrum scale by b, and so do the equilibrium and
-    # near-zero tests: against unscaled 1e-8 tests, b = 1e8 refused the
-    # exterior point as no equilibrium and b = 1e-9 labelled both "other".
-    # The eigenvalues met b times the unit ones to 1.7e-15 b at worst.
+    # The field and its spectrum scale by b, so a point is judged at
+    # (1, c/b). Against unscaled 1e-8 tests at b itself, b = 1e8 refused the
+    # exterior point as no equilibrium and b = 1e-9 labelled both "other";
+    # with scaled tests, the field's norm overflowed at b = 1e300 and the
+    # complex step underflowed at b = 1e-300. The eigenvalues meet b times
+    # the unit ones to 1.2e-16 b at worst.
     unit = PayoffParams(1.0, PARAMS.c)
     for x in (PLANE_POINT, EXTERIOR_POINT):
         want = classify_equilibrium(x, unit)
-        for b in (1e-9, 2.0, 1e8):
+        for b in (1e-300, 1e-9, 2.0, 1e8, 1e300):
             point = classify_equilibrium(x, PayoffParams(b, PARAMS.c * b))
             assert point.classification == want.classification
             np.testing.assert_allclose(

@@ -87,6 +87,21 @@ def test_std_error_scales_as_inverse_sqrt_rounds():
         assert np.sqrt(10) / 2 < ratio < 2 * np.sqrt(10)
 
 
+def test_std_error_scales_with_the_benefit():
+    # The payoffs are linear in (b, c), so std_error at (b, c) is b times
+    # its value at (1, c/b). Squared on the payoffs themselves, the
+    # deviations overflowed at b = 1e300 and made std_error 0 at b = 1e-300.
+    rng = np.random.default_rng(30)
+    p, q = random_strategy(1, rng), random_strategy(1, rng)
+    for b in (1e-300, 1e300):
+        params = PayoffParams(b, PARAMS.c * b)
+        unit = PayoffParams(1.0, params.c / params.b)
+        want = simulate(p, q, unit, rounds=5000, seed=8).std_error
+        assert simulate(p, q, params, rounds=5000, seed=8).std_error == pytest.approx(
+            b * want, rel=1e-14, abs=0.0
+        )
+
+
 def test_burn_in_defaults_to_a_tenth():
     p, q = random_strategy(1, RNG), random_strategy(1, RNG)
     assert simulate(p, q, PARAMS, rounds=1000, seed=0).burn_in == 100

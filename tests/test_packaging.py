@@ -108,6 +108,21 @@ def test_only_the_kernels_and_the_desingularized_field_read_the_numerators():
     }
 
 
+def test_the_torus_equilibria_read_the_interior_plane():
+    # The interior plane is stated once, in dynamics.interior_plane_point,
+    # and the torus equilibria are where it meets the torus. A second
+    # statement in angles gave each psi root two arcsine phi-branches, one
+    # spurious, and lost equilibria where the branches met.
+    # (torus.py, None) is torus's import.
+    readers = {reader for path in SOURCES for reader in _reads_of("interior_plane_point", path)}
+    assert readers == {
+        ("dynamics.py", "equilibrium_families"),
+        ("dynamics.py", "interior_plane_grid"),
+        ("torus.py", None),
+        ("torus.py", "torus_equilibria"),
+    }
+
+
 def test_only_the_flip_table_reads_the_slot_masks():
     # The four relabelings are stated once, as symmetry._FLIPS, and
     # symmetry._masks alone turns a flip into the slots it XORs; a matrix,
