@@ -122,16 +122,15 @@ def simulate(
 
     values = params.rstp
     mean = sum(c * v for c, v in zip(outcome_counts, values)) / rounds
+    b = params.b  # the variance is in units of b: no square overflows or underflows
     if rounds > 1:
-        # In units of b, so the squares neither overflow nor underflow.
-        b = params.b
         var = sum(c * (v / b - mean / b) ** 2 for c, v in zip(outcome_counts, values))
         var /= rounds - 1
     else:
         var = 0.0
     return SimulationResult(
         mean_payoff=mean,
-        std_error=params.b * float(np.sqrt(var / rounds)),
+        std_error=b * float(np.sqrt(var / rounds)),
         state_frequencies=np.array(state_counts) / rounds,
         rounds=rounds,
         burn_in=burn_in,

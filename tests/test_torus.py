@@ -561,8 +561,7 @@ class TestTorusEquilibria:
 
     def test_depend_on_the_cost_ratio_alone(self):
         # The plane is read at the cost ratio, so the equilibria at (b, c)
-        # are those at (1, c/b), angle for angle, even where the field at
-        # (b, c) overflows or underflows.
+        # are those at (1, c/b), angle for angle, from b = 1e-300 to 1e300.
         def angles(level, params):
             return [(pt.phi, pt.psi) for pt in torus_equilibria(level, params)]
 
