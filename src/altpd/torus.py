@@ -292,15 +292,12 @@ def torus_equilibria(level: TorusLevel, params: PayoffParams) -> list:
         x1, _, x3, _ = interior_plane_point(
             1.0 + r2 * math.sin(psi), r2 * math.cos(psi), unit
         )
-        pt = TorusPoint(math.atan2(x1 - 1.0, x3), psi, level)
-        if not rect.contains(pt.phi, pt.psi):
+        phi = _wrap(math.atan2(x1 - 1.0, x3))
+        if not rect.contains(phi, psi):
             continue
-        if any(
-            _angle_close(pt.phi, q.phi) and _angle_close(pt.psi, q.psi)
-            for q in found
-        ):
+        if any(_angle_close(phi, q.phi) and _angle_close(psi, q.psi) for q in found):
             continue
-        found.append(pt)
+        found.append(TorusPoint(phi, psi, level))
     return found
 
 
