@@ -29,7 +29,7 @@ import numpy as np
 
 from .chain import _fill_rows, build_matrix_direct
 from .errors import FieldSingularError, NotAnEquilibriumError
-from .payoff import payoff_by_determinant
+from .payoff import _determinant_ratio, build_payoff_vector
 from .strategy import PayoffParams, Strategy, _step_count
 
 __all__ = [
@@ -210,14 +210,14 @@ def field_closed_form(x, params: PayoffParams) -> np.ndarray:
 
 
 def _central_differences(f, x, h):
-    """(f(x + h e_j) - f(x - h e_j)) / 2h for each coordinate j of x,
+    """(f(x + h e_j, j) - f(x - h e_j, j)) / 2h for each coordinate j of x,
     stacked along a new first axis."""
     rows = []
     for j in range(x.size):
         hi, lo = x.copy(), x.copy()
         hi[j] += h
         lo[j] -= h
-        rows.append((f(hi) - f(lo)) / (2.0 * h))
+        rows.append((f(hi, j) - f(lo, j)) / (2.0 * h))
     return np.array(rows)
 
 
@@ -228,36 +228,30 @@ def field_numeric(x, params: PayoffParams) -> np.ndarray:
     with the resident follower held fixed at x, with step h = 1e-6.
 
     The leader's probability y_j enters row j of M(y, x) and no other row,
-    so M(x, x) is built once per call. For each coordinate j, row j alone
-    is rewritten for x + h e_j and for x - h e_j by the direct build's own
-    _fill_rows, then written back with x_j. A row's products depend on its
-    probabilities alone, so every patched matrix, and so every payoff, has
-    the bytes that a full build_matrix_direct at that point gives.
+    so M(x, x) is built once per call. At each stencil point x +- h e_j,
+    row j alone is rewritten by the direct build's own _fill_rows for the
+    payoff's determinant ratio, then written back with x_j. A row's products
+    depend on its probabilities alone, so every patched matrix, and so every
+    payoff, has the bytes that a full build_matrix_direct there gives.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("field_numeric takes a single state vector")
     h = _STENCIL_STEP
-    if np.any(x <= h) or np.any(x >= 1.0 - h):
-        raise ValueError("state must lie in (h, 1-h) for the stencil")
+    if not np.all((x > h) & (x < 1.0 - h)):  # also False for NaN entries
+        raise ValueError(f"state must lie in (h, 1-h) for the stencil, h = {h:g}")
     follower = Strategy(x)
     matrix = build_matrix_direct(follower, follower)
-    m, q_probs = matrix.entries, follower.probs.tolist()
+    m, q_probs, memory = matrix.entries, follower.probs.tolist(), matrix.memory
+    f = build_payoff_vector(params, memory)
 
-    def payoff_at(y, j):
-        leader = Strategy(y)
-        _fill_rows(m, (j,), leader.probs.tolist(), q_probs, matrix.memory)
-        return payoff_by_determinant(leader, follower, params, matrix)
+    def payoff(y, j):
+        _fill_rows(m, (j,), y.tolist(), q_probs, memory)
+        value = _determinant_ratio(m, f)
+        _fill_rows(m, (j,), q_probs, q_probs, memory)  # M(x, x) again
+        return value
 
-    rows = []
-    for j in range(x.size):
-        hi, lo = x.copy(), x.copy()
-        hi[j] += h
-        lo[j] -= h
-        rows.append((payoff_at(hi, j) - payoff_at(lo, j)) / (2.0 * h))
-        # The same four columns again, with x's probability: M(x, x).
-        _fill_rows(m, (j,), q_probs, q_probs, matrix.memory)
-    return np.array(rows)
+    return _central_differences(payoff, x, h)
 
 
 def jacobian(x, params: PayoffParams) -> np.ndarray:
@@ -268,11 +262,14 @@ def jacobian(x, params: PayoffParams) -> np.ndarray:
     numbers) over 1e-20. It is exact to roundoff for a rational field and
     the only scheme accurate enough to certify eigenvalues at the 1e-8
     scale. At general memory it takes central differences (step 1e-5) of
-    field_numeric.
+    field_numeric, so x needs room for both steps.
     """
     x = np.asarray(x, dtype=float)
     if x.size != 4:
-        return _central_differences(lambda y: field_numeric(y, params), x, _JACOBIAN_STEP).T
+        room = _JACOBIAN_STEP + _STENCIL_STEP
+        if not np.all((x > room) & (x < 1.0 - room)):
+            raise ValueError(f"state must lie in (r, 1-r) for the Jacobian, r = {room:g}")
+        return _central_differences(lambda y, j: field_numeric(y, params), x, _JACOBIAN_STEP).T
     rows = []
     for j in range(4):
         point = x.tolist()

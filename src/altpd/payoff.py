@@ -85,11 +85,15 @@ def payoff_by_determinant(
         for col, product in expected[0].items():
             if row.item(col) != product:
                 raise ValueError("matrix row 0 does not hold the pair's products")
-    m = matrix.entries
+    return _determinant_ratio(matrix.entries, build_payoff_vector(params, matrix.memory))
+
+
+def _determinant_ratio(m: np.ndarray, f: np.ndarray) -> float:
+    """payoff_by_determinant's ratio for the matrix entries m and payoff vector f."""
     n = m.shape[0]
     pair = np.empty((2, n, n))
     pair[:] = m - _identity(n)
-    pair[0, :, -1] = build_payoff_vector(params, matrix.memory)
+    pair[0, :, -1] = f
     pair[1, :, -1] = 1.0
     det_num, det_den = np.linalg.det(pair)
     if not math.isfinite(det_den) or det_den == 0.0:

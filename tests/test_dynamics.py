@@ -33,7 +33,7 @@ from altpd.dynamics import (
 )
 from altpd.chain import build_matrix_direct, stationary
 from altpd.errors import FieldSingularError, NotAnEquilibriumError
-from altpd.payoff import payoff_by_determinant
+from altpd.payoff import _determinant_ratio, payoff_by_determinant
 from altpd.strategy import PayoffParams, Strategy, _successor_table
 from altpd.torus import to_torus, torus_field
 
@@ -103,6 +103,28 @@ def test_denominator_vanishes_at_the_cooperation_corner():
 def test_numeric_field_requires_room_for_the_stencil():
     with pytest.raises(ValueError):
         field_numeric(np.array([0.5, 0.5, 0.5, 1e-8]), PARAMS)
+
+
+def test_memory_n_jacobian_requires_room_for_its_own_steps():
+    # The stencil has room at 5e-6, but the Jacobian's 1e-5 steps take
+    # field_numeric past the face; each refusal names its own room.
+    x = np.full(16, 0.5)
+    x[3] = 5e-6
+    assert np.isfinite(field_numeric(x, PARAMS)).all()
+    with pytest.raises(ValueError, match=r"for the Jacobian, r = 1.1e-05"):
+        jacobian(x, PARAMS)
+    x[3] = 1e-8
+    with pytest.raises(ValueError, match=r"for the stencil, h = 1e-06"):
+        field_numeric(x, PARAMS)
+
+
+def test_a_nan_state_is_refused_by_the_room_rule():
+    x = np.full(16, 0.5)
+    x[5] = math.nan
+    with pytest.raises(ValueError, match="for the stencil"):
+        field_numeric(x, PARAMS)
+    with pytest.raises(ValueError, match="for the Jacobian"):
+        jacobian(x, PARAMS)
 
 
 def test_numeric_field_rejects_a_length_that_is_not_a_power_of_four():
@@ -188,16 +210,17 @@ def _stencil_by_full_builds(x, params):
 @pytest.mark.parametrize("memory", [1, 2, 3])
 def test_the_row_patched_stencil_matches_full_builds_bit_for_bit(memory, monkeypatch):
     # field_numeric builds M(x, x) once and rewrites row j per stencil
-    # point, since y_j enters row j of M(y, x) only. Every patched matrix,
-    # and so every field component, must have the bytes of a full build.
+    # point, since y_j enters row j of M(y, x) only. Every patched matrix
+    # that reaches the determinant ratio, and so every field component,
+    # must have the bytes of a full build.
     rng = np.random.default_rng(37 + memory)
     seen = []
 
-    def spy(p, q, params, matrix):
-        seen.append(matrix.entries.tobytes())
-        return payoff_by_determinant(p, q, params, matrix)
+    def spy(m, f):
+        seen.append(m.tobytes())
+        return _determinant_ratio(m, f)
 
-    monkeypatch.setattr("altpd.dynamics.payoff_by_determinant", spy)
+    monkeypatch.setattr("altpd.dynamics._determinant_ratio", spy)
     h = 1e-6
     for x in _stencil_points(memory, rng):
         seen.clear()
@@ -979,6 +1002,56 @@ def test_interior_plane_grid_is_interior_and_flat():
 def test_interior_plane_point_formula():
     x = interior_plane_point(0.5, 0.2, PARAMS)
     assert x == pytest.approx([0.71, 0.5, 0.41, 0.2])
+
+
+# The worst equalizer spread over 300 interior-plane points (20 at each of
+# c = 0.1, 0.3, 0.7 for five seeds, 30 mutants each) was 1.6e-15 at memory
+# 1, 1.4e-15 at memory 2 and 1.3e-15 at memory 3, in units of b.
+_EQUALIZER_TOL = 1e-14
+
+
+def _family_points(family, rng, count):
+    """count points of an equilibrium family, free coordinates drawn from
+    (0, 1), kept where they lie in the cube."""
+    points = []
+    while len(points) < count:
+        x = family.point(**dict(zip(family.free, rng.random(len(family.free)))))
+        if np.all((x >= 0.0) & (x <= 1.0)):
+            points.append(x)
+    return points
+
+
+def _payoff_spread(x, params, rng, mutants=30):
+    """max |A(y, x) - A(x, x)| / b over random mutant leaders y, by the
+    determinant payoff."""
+    resident = Strategy(x)
+    own = payoff_by_determinant(resident, resident, params)
+    return max(
+        abs(payoff_by_determinant(Strategy(rng.random(x.size)), resident, params) - own)
+        for _ in range(mutants)
+    ) / params.b
+
+
+@pytest.mark.parametrize("memory", [1, 2, 3])
+def test_interior_plane_residents_are_equalizers(memory):
+    # A conjecture (README): a resident x on the interior plane fixes the
+    # mutant leader's payoff, A(y, x) = A(x, x) for every leader y. At
+    # memory N the resident is the lift x[arange(4^N) & 3]. The negative
+    # control: residents moved up to 0.02 off the plane, and points of the
+    # two face families, which are equilibria too. At this seed the plane
+    # read at most 1.4e-15, and the two controls at least 2.6e-4 and 1.0e-3.
+    rng = np.random.default_rng(22)
+    lift = np.arange(4**memory) & 3
+    for c in (0.1, 0.3, 0.7):
+        params = PayoffParams(1.0, c)
+        families = {f.name: f for f in equilibrium_families(params)}
+        for x in _family_points(families["interior plane"], rng, 20):
+            assert _payoff_spread(x[lift], params, rng) <= _EQUALIZER_TOL, (c, x)
+            moved = np.clip(x + rng.uniform(-0.02, 0.02, 4), 1e-3, 1.0 - 1e-3)
+            assert _payoff_spread(moved[lift], params, rng) > _EQUALIZER_TOL, (c, moved)
+        for name in ("p1=1 face", "p4=0 face"):
+            for x in _family_points(families[name], rng, 10):
+                assert _payoff_spread(x[lift], params, rng) > _EQUALIZER_TOL, (c, name, x)
 
 
 # ---- stability ----

@@ -251,6 +251,28 @@ def test_the_direct_matrix_reads_the_successor_table_and_not_the_pattern():
     }
 
 
+def test_the_general_memory_gradient_and_the_determinant_ratio_are_stated_once():
+    # The determinant ratio is stated once, in payoff._determinant_ratio,
+    # which the determinant payoff and field_numeric's stencil both read;
+    # the central difference is stated once, in dynamics._central_differences,
+    # which the stencil and the memory-N Jacobian both run. A second loop or
+    # a second det call would state the gradient again. (dynamics.py, None)
+    # is dynamics' import.
+    def readers(name):
+        return {reader for path in SOURCES for reader in _reads_of(name, path)}
+
+    assert readers("det") == {("payoff.py", "_determinant_ratio")}
+    assert readers("_determinant_ratio") == {
+        ("payoff.py", "payoff_by_determinant"),
+        ("dynamics.py", None),
+        ("dynamics.py", "field_numeric"),
+    }
+    assert readers("_central_differences") == {
+        ("dynamics.py", "field_numeric"),
+        ("dynamics.py", "jacobian"),
+    }
+
+
 def test_per_memory_constants_are_cached():
     # Tier-1 times nothing, so only this keeps a refactor from rebuilding
     # these on every call: each depends on the memory (and the payoff
