@@ -50,39 +50,59 @@ def build_matrix_direct(p: Strategy, q: Strategy) -> TransitionMatrix:
     The four columns of a row are distinct (their low two bits are the
     fresh pair), so each entry is assigned once, not accumulated.
 
-    The products are formed on Python floats (the probabilities are read
-    once per call with tolist()), not on numpy scalars. Both are IEEE
-    float64 with round-to-nearest, so every complement and product has the
-    same bits either way. A -0.0 probability makes -0.0 products; each
-    product gets +0.0 added as it is formed, which maps -0.0 to +0.0 and
-    leaves every other value as it is.
+    The products are stated once, in _quadruple: on Python floats row by
+    row at memory 1 (the probabilities read once with tolist()), on whole
+    arrays above it, scattered at cached flat indices. The array calls cost
+    a fixed overhead, so the float loop is faster on 4 rows and the arrays
+    from 16 rows up. Both are IEEE float64 with round-to-nearest, so every
+    product has the same bits either way. Each product gets +0.0 added,
+    which maps -0.0 (from a -0.0 probability) to +0.0 and nothing else.
     """
     memory = _shared_memory(p, q)
     n = 4**memory
-    m = np.zeros((n, n))
-    _fill_rows(m, range(n), p.probs.tolist(), q.probs.tolist(), memory)
-    return TransitionMatrix(memory=memory, entries=m)
+    if memory == 1:
+        m = np.zeros((n, n))
+        _fill_rows(m, range(n), p.probs.tolist(), q.probs.tolist(), memory)
+        return TransitionMatrix(memory=memory, entries=m)
+    follower_c, follower_d, flat = _scatter_indices(memory)
+    m = np.zeros(n * n)
+    m[flat] = _quadruple(p.probs, q.probs.take(follower_c), q.probs.take(follower_d))
+    return TransitionMatrix(memory=memory, entries=m.reshape(n, n))
+
+
+def _quadruple(p_c, q_c, q_d):
+    """A row's products in successor order CC, CD, DC, DD, on Python floats
+    (one row) or on numpy arrays (every row) with the same bits."""
+    p_d = 1.0 - p_c
+    return p_c * q_c + 0.0, p_c * (1.0 - q_c) + 0.0, p_d * q_d + 0.0, p_d * (1.0 - q_d) + 0.0
 
 
 def _fill_rows(m, rows, p_probs, q_probs, memory: int) -> None:
-    """Write the quadruple of each history h in rows into m[h][col], at its
-    four successor columns col, as build_matrix_direct's docstring states.
+    """Write _quadruple of each history h in rows, on the Python floats of
+    the lists p_probs and q_probs, into m[h] at its four successor columns.
 
-    p_probs and q_probs are lists of Python floats. Only those four entries
-    of each row are written: the caller supplies the zeros elsewhere, and
-    m[h] may be a dict that collects just the four. The products depend on
-    the probabilities alone, so a row written into any matrix has the bits
-    it has in a full build.
+    Only those four entries of each row are written: the caller supplies
+    the zeros elsewhere, and m[h] may be a dict that collects just the
+    four. The products depend on the probabilities alone, so a row written
+    into any matrix has the bits it has in a full build.
     """
     follower, successor = _successor_table(memory)
     for h in rows:
-        row, p_c = m[h], p_probs[h]
-        for a in (0, 1):
-            p_factor = p_c if a == 0 else 1.0 - p_c
-            q_c = q_probs[follower[h][a]]
-            for b in (0, 1):
-                q_factor = q_c if b == 0 else 1.0 - q_c
-                row[successor[h][a][b]] = p_factor * q_factor + 0.0
+        row, (k_c, k_d), ((cc, cd), (dc, dd)) = m[h], follower[h], successor[h]
+        row[cc], row[cd], row[dc], row[dd] = _quadruple(p_probs[h], q_probs[k_c], q_probs[k_d])
+
+
+@lru_cache(maxsize=None)
+def _scatter_indices(memory: int):
+    """Read-only follower indices kC, kD of every row and, one row per (a, b)
+    in _quadruple's order, the flat indices h * 4^N + successor[h][a][b]."""
+    follower, successor = _successor_table(memory)
+    n = 4**memory
+    follower_c, follower_d = np.array(follower).T.copy()
+    flat = np.array(successor).reshape(n, 4).T + np.arange(n) * n
+    for a in (follower_c, follower_d, flat):
+        a.flags.writeable = False
+    return follower_c, follower_d, flat
 
 
 # Entry pattern of the memory-1 matrix, row by row: each entry is

@@ -227,28 +227,63 @@ def test_only_strategy_states_the_history_shift_rule():
     assert ("strategy.py", "_shift_in") in shifts
 
 
+def _functions(path):
+    """Top-level functions of path by name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+
+
 def test_the_direct_matrix_reads_the_successor_table_and_not_the_pattern():
     # The direct and recursive matrix routes check each other only while
-    # they share no index: the direct build writes its rows with
-    # chain._fill_rows, which reads strategy's successor table, and
-    # chain._pattern serves the recursive build and the stationary solve's
-    # zero-entry test alone.
+    # they share no index: the direct build's float rows (chain._fill_rows)
+    # and its cached scatter indices (chain._scatter_indices) read
+    # strategy's successor table, and chain._pattern serves the recursive
+    # build and the stationary solve's zero-entry test alone.
     chain = ROOT / "src" / "altpd" / "chain.py"
-    assert ("chain.py", "_fill_rows") in set(_reads_of("_successor_table", chain))
-    readers = {reader for path in SOURCES for reader in _reads_of("_pattern", path)}
-    assert readers == {("chain.py", "build_matrix_recursive"), ("chain.py", "stationary")}
-    # The row products are stated once, in _fill_rows: the direct build,
-    # the determinant payoff's row-0 check and field_numeric's patched
-    # stencil rows all come from it. (payoff.py, None) and (dynamics.py,
-    # None) are the imports.
-    fillers = {reader for path in SOURCES for reader in _reads_of("_fill_rows", path)}
-    assert fillers == {
+
+    def readers(name):
+        return {reader for path in SOURCES for reader in _reads_of(name, path)}
+
+    assert {("chain.py", "_fill_rows"), ("chain.py", "_scatter_indices")} <= set(
+        _reads_of("_successor_table", chain)
+    )
+    assert readers("_scatter_indices") == {("chain.py", "build_matrix_direct")}
+    assert readers("_pattern") == {("chain.py", "build_matrix_recursive"), ("chain.py", "stationary")}
+    # The row products are stated once, in _quadruple, which runs on floats
+    # in _fill_rows and on arrays in build_matrix_direct. The determinant
+    # payoff's row-0 check and field_numeric's patched stencil rows come
+    # from _fill_rows. (payoff.py, None) and (dynamics.py, None) are the
+    # imports.
+    assert readers("_quadruple") == {("chain.py", "_fill_rows"), ("chain.py", "build_matrix_direct")}
+    assert readers("_fill_rows") == {
         ("chain.py", "build_matrix_direct"),
         ("payoff.py", None),
         ("payoff.py", "payoff_by_determinant"),
         ("dynamics.py", None),
         ("dynamics.py", "field_numeric"),
     }
+    # Products written inline beside _quadruple would state them again:
+    # the -0.0 fold (+ 0.0) is _quadruple's alone, and the two builders
+    # that call it do arithmetic on the matrix size only.
+    folds = [
+        (path.name, owner)
+        for path in SOURCES
+        for owner, function in _functions(path).items()
+        for node in ast.walk(function)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Add)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 0.0
+    ]
+    assert folds == [("chain.py", "_quadruple")] * 4
+    functions = _functions(chain)
+    for builder in ("build_matrix_direct", "_fill_rows"):
+        arithmetic = {
+            ast.unparse(node)
+            for node in ast.walk(functions[builder])
+            if isinstance(node, (ast.BinOp, ast.UnaryOp))
+        }
+        assert arithmetic <= {"4 ** memory", "n * n"}, builder
 
 
 def test_the_general_memory_gradient_and_the_determinant_ratio_are_stated_once():
