@@ -227,10 +227,13 @@ def test_only_strategy_states_the_history_shift_rule():
     assert ("strategy.py", "_shift_in") in shifts
 
 
-def _functions(path):
-    """Top-level functions of path by name."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    return {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+def _owned_nodes(path):
+    """(enclosing top-level function or class or None, node) for every node
+    of path."""
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            yield owner, node
 
 
 def test_the_direct_matrix_reads_the_successor_table_and_not_the_pattern():
@@ -268,20 +271,17 @@ def test_the_direct_matrix_reads_the_successor_table_and_not_the_pattern():
     folds = [
         (path.name, owner)
         for path in SOURCES
-        for owner, function in _functions(path).items()
-        for node in ast.walk(function)
+        for owner, node in _owned_nodes(path)
         if isinstance(node, ast.BinOp)
         and isinstance(node.op, ast.Add)
-        and isinstance(node.right, ast.Constant)
-        and node.right.value == 0.0
+        and any(isinstance(a, ast.Constant) and a.value == 0.0 for a in (node.left, node.right))
     ]
     assert folds == [("chain.py", "_quadruple")] * 4
-    functions = _functions(chain)
     for builder in ("build_matrix_direct", "_fill_rows"):
         arithmetic = {
             ast.unparse(node)
-            for node in ast.walk(functions[builder])
-            if isinstance(node, (ast.BinOp, ast.UnaryOp))
+            for owner, node in _owned_nodes(chain)
+            if owner == builder and isinstance(node, (ast.BinOp, ast.UnaryOp))
         }
         assert arithmetic <= {"4 ** memory", "n * n"}, builder
 
