@@ -106,10 +106,10 @@ def _field_components(x1, x2, x3, x4, b, c, consts):
     """Common denominator and the four numerators of the memory-1 field.
 
     Pure arithmetic, so the inputs may be Python floats or complex numbers
-    (complex ones carry the derivative for the complex step) or real
-    arrays. consts holds the constants (1, 2, -2) in the caller's type, and
-    b and c take that type too: Python floats for the scalar path, 0-d
-    float arrays for numpy inputs (_field_array). Either
+    (complex ones carry the derivative for the complex step) or arrays,
+    real or complex. consts holds the constants (1, 2, -2) in the caller's
+    type, and b and c take that type too: Python floats for the scalar
+    path, 0-d float arrays for numpy inputs (_field_array). Either
     gives the same bits; on 64-row arrays numpy combines an array with a
     0-d array in about half the time it takes to convert a Python number.
     Each repeated subexpression is computed once, as the same expression
@@ -172,6 +172,12 @@ def _field_scalar(x1, x2, x3, x4, b, c):
     if not _DENOMINATOR_TOL <= abs(denom) < math.inf:
         raise FieldSingularError("field denominator vanishes or is not finite")
     return n1 / denom, n2 / denom, n3 / denom, n4 / denom
+
+
+def _field_numerators(x1, x2, x3, x4, b, c):
+    """The field's numerators, undivided (A times the field), with no
+    singularity rule: floats, complex numbers or arrays."""
+    return _field_components(x1, x2, x3, x4, b, c, _CONSTS)[1:]
 
 
 def _field_array(y, b, c):
@@ -515,11 +521,13 @@ def integrate(
     without recording the exiting state, when any coordinate leaves
     [1e-9, 1-1e-9] (clamping would silently break the conserved
     quantities), and halts "singular" as Trajectory says. Raises
-    ValueError for a start outside that range, or unless t_final, dt and
+    ValueError for a start that is not a strategy vector (Strategy's rule)
+    or lies outside that range, or unless t_final, dt and
     t_final / dt are finite and positive (for "rk45" too, although it
     chooses its own steps).
     """
     x0 = np.asarray(x0, dtype=float)
+    Strategy(x0)  # refuses a start that is not a 4^N vector in [0, 1]
     if not _interior(x0):
         raise ValueError("initial state must be interior")
     n_steps = _step_count(t_final, dt)  # the step rule, for either method

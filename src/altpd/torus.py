@@ -7,11 +7,12 @@ so the motion takes place on the torus
     p2 = 1 + sqrt(C2) sin(psi),  p4 = sqrt(C2) cos(psi).
 
 The cube intersects such a torus only for levels in (0, 2), and its image
-is an open rectangle of angles near (3pi/2, 2pi). The reduced field is the
-pushforward of the cube field. Pushing the memory-1 kernel's numerators
-forward instead gives the reduced field times the cube denominator A,
-which has no poles. As C1 -> 0 its psi-rate vanishes like C1, with the
-closed-form coefficient slow_coefficient; a level C1 = 0 is refused.
+is an open rectangle of angles near (3pi/2, 2pi). The torus reads the field
+only through the memory-1 kernels: the reduced field is the pushforward of
+the cube field, and pushing the kernel's numerators forward instead gives
+the reduced field times the cube denominator A, which has no poles. As
+C1 -> 0 its psi-rate vanishes like C1, with the coefficient slow_coefficient;
+a level C1 = 0 is refused. A torus carries at most one interior equilibrium.
 
 The benefit b only rescales time: the payoffs are linear in (b, c) and the
 field's denominator A reads neither, so G(x; b, c) = b G(x; 1, c/b). The
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    _CONSTS, _field_array, _field_components, _field_scalar, _levels, _march,
-    interior_plane_point,
+    _COMPLEX_STEP, _field_array, _field_numerators, _field_scalar, _levels,
+    _march, interior_plane_point,
 )
 from .errors import DegenerateTorusError, FieldSingularError
 from .strategy import PayoffParams, _step_count
@@ -52,7 +53,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _DEGENERATE_TOL = 1e-14
-_ANGLE_DEDUPE_TOL = 1e-7
 _CONTOUR_CELLS = 200
 
 
@@ -157,6 +157,8 @@ def toric_denominator(phi, psi, level: TorusLevel):
     G = 4 A / (C1 C2) for the cube-field denominator A; the division is
     exact because A carries the factor C1 C2 on the torus, so G stays
     finite on degenerate tori. Accepts scalars or arrays.
+    It stays typed out: 4 A / (C1 C2) from the kernel moved the contour
+    segments' bytes, and dividing by C1 C2 loses precision on thin tori.
     """
     s1, c1 = np.sin(phi), np.cos(phi)
     s2, c2 = np.sin(psi), np.cos(psi)
@@ -174,16 +176,16 @@ def _pushforward(s1, c1, s2, c2, u, v, g):
     return (c1 * g1 - s1 * g3) / u, (c2 * g2 - s2 * g4) / v
 
 
-def _angle_rates(phi, psi, u, v, b, c):
-    """(phi_dot, psi_dot) at wrapped angles on the torus of radii (u, v),
-    pushed forward from the scalar kernel, whose FieldSingularError passes
-    through. The toric denominator is G = 4 A / (C1 C2) for the cube
-    denominator A, with C1, C2 <= 2, so |A| <= |G| and the refusal covers
+def _angle_rates(phi, psi, u, v, b, c, kernel):
+    """_pushforward of kernel(x1, x2, x3, x4, b, c) at wrapped angles on the
+    torus of radii (u, v). On _field_numerators it gives A (phi_dot, psi_dot);
+    on _field_scalar, (phi_dot, psi_dot) with its FieldSingularError. As
+    G = 4 A / (C1 C2) with C1, C2 <= 2, |A| <= |G| and that refusal covers
     every point where |G| < 1e-14.
     """
     s1, c1 = math.sin(phi), math.cos(phi)
     s2, c2 = math.sin(psi), math.cos(psi)
-    g = _field_scalar(1.0 + u * s1, 1.0 + v * s2, u * c1, v * c2, b, c)
+    g = kernel(1.0 + u * s1, 1.0 + v * s2, u * c1, v * c2, b, c)
     return _pushforward(s1, c1, s2, c2, u, v, g)
 
 
@@ -196,15 +198,7 @@ def torus_field(pt: TorusPoint, params: PayoffParams) -> tuple:
     """
     return _angle_rates(
         pt.phi, pt.psi, math.sqrt(pt.level.c1), math.sqrt(pt.level.c2),
-        params.b, params.c,
-    )
-
-
-def _e2_linear_coefficient(s1, c1, s2, c2, v, c):
-    """Coefficient of u in E2 on the torus (the constant order vanishes)."""
-    return v * (
-        c1 * ((c + 1.0) * c2 + (1.0 - c) * s2)
-        - 2.0 * s1 * ((c + 1.0) * c2 - c * s2)
+        params.b, params.c, _field_scalar,
     )
 
 
@@ -217,27 +211,29 @@ def desingularized_field(pt: TorusPoint, params: PayoffParams) -> tuple:
     the psi-motion freezes at rate C1 * slow_coefficient and only the
     phi-motion (the fast angle) survives.
     """
-    s1, c1 = math.sin(pt.phi), math.cos(pt.phi)
-    s2, c2 = math.sin(pt.psi), math.cos(pt.psi)
-    u, v = math.sqrt(pt.level.c1), math.sqrt(pt.level.c2)
-    _, *numerators = _field_components(
-        1.0 + u * s1, 1.0 + v * s2, u * c1, v * c2, params.b, params.c, _CONSTS
+    return _angle_rates(
+        pt.phi, pt.psi, math.sqrt(pt.level.c1), math.sqrt(pt.level.c2),
+        params.b, params.c, _field_numerators,
     )
-    phi_rate, psi_rate = _pushforward(s1, c1, s2, c2, u, v, numerators)
-    return float(phi_rate), float(psi_rate)
 
 
 def slow_coefficient(phi, psi, level: TorusLevel, params: PayoffParams):
     """C1-coefficient of psi_dot in the desingularized system.
 
-    The order-sqrt(C1) part of psi_dot vanishes identically, so this
-    coefficient drives the psi-motion on almost degenerate tori. Accepts
-    scalar or array phi. The level enters only through C2.
+    psi_dot is a polynomial in u = sqrt(C1) with no order 0 or 1, so this
+    coefficient drives the psi-motion on almost degenerate tori. At the
+    imaginary radius u = 1e-20i the odd orders are imaginary, so it is
+    -Re(psi_dot) / 1e-40 from the numerators at (1, c/b), times b after the
+    division so that nothing underflows. Accepts scalar or array phi.
     """
     s1, c1 = np.sin(phi), np.cos(phi)
     s2, c2 = math.sin(psi), math.cos(psi)
-    v = math.sqrt(level.c2)
-    return -params.b * s1 * _e2_linear_coefficient(s1, c1, s2, c2, v, params.c / params.b)
+    u, v = complex(0.0, _COMPLEX_STEP), math.sqrt(level.c2)
+    g = _field_numerators(
+        1.0 + u * s1, 1.0 + v * s2, u * c1, v * c2, 1.0, params.c / params.b
+    )
+    _, psi_rate = _pushforward(s1, c1, s2, c2, u, v, g)
+    return -params.b * (psi_rate.real / _COMPLEX_STEP**2)
 
 
 def averaged_slow_field(psi: float, level: TorusLevel, params: PayoffParams) -> float:
@@ -266,11 +262,6 @@ def _psi_candidates(level: TorusLevel, c: float) -> list:
     return [_wrap(base + k * math.pi) for base in bases for k in (0, 1)]
 
 
-def _angle_close(a: float, b: float) -> bool:
-    d = abs(a - b) % _TWO_PI
-    return min(d, _TWO_PI - d) < _ANGLE_DEDUPE_TOL
-
-
 def torus_equilibria(level: TorusLevel, params: PayoffParams) -> list:
     """Equilibria of the reduced field inside the admissible rectangle.
 
@@ -279,10 +270,11 @@ def torus_equilibria(level: TorusLevel, params: PayoffParams) -> list:
     four roots mod 2pi. At each root, (x2, x4) is the torus point of angle
     psi, and dynamics.interior_plane_point gives the plane's (x1, x3)
     there; s is derived so that (x1 - 1)^2 + x3^2 = C1, so phi is the
-    angle of that point, as in to_torus, and each psi has one phi. The
-    pairs in the open rectangle are kept, and the dedupe merges tangent
-    roots, so at most four remain. The plane is read at the cost ratio,
-    so the equilibria at (b, c) are those at (1, c/b).
+    angle of that point, as in to_torus, and each psi has one phi. Every
+    pair in the open rectangle is kept, and at most one is: on the arc of
+    the circle inside the cube the plane point's C1 rises strictly with
+    psi (README, "One equilibrium per torus"). The plane is read at the
+    cost ratio, so the equilibria at (b, c) are those at (1, c/b).
     """
     rect = admissible_rectangle(level)
     unit = PayoffParams(1.0, params.c / params.b)
@@ -293,11 +285,8 @@ def torus_equilibria(level: TorusLevel, params: PayoffParams) -> list:
             1.0 + r2 * math.sin(psi), r2 * math.cos(psi), unit
         )
         phi = _wrap(math.atan2(x1 - 1.0, x3))
-        if not rect.contains(phi, psi):
-            continue
-        if any(_angle_close(phi, q.phi) and _angle_close(psi, q.psi) for q in found):
-            continue
-        found.append(TorusPoint(phi, psi, level))
+        if rect.contains(phi, psi):
+            found.append(TorusPoint(phi, psi, level))
     return found
 
 
@@ -317,7 +306,7 @@ def torus_trajectory(
     b, c = params.b, params.c
 
     def rates(phi, psi):
-        return _angle_rates(phi % _TWO_PI, psi % _TWO_PI, u, v, b, c)
+        return _angle_rates(phi % _TWO_PI, psi % _TWO_PI, u, v, b, c, _field_scalar)
 
     def step(y, dt):
         # Classical RK4 written out on the two angles, with the expressions

@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from altpd.strategy import Strategy, random_strategy
 
 
 INTEGRATE = ["integrate", "--p", "0.62,0.35,0.3,0.45"]
+# A config file that sets n = two.
+BAD_VALUE_CONFIG = str(Path(__file__).with_name("data") / "n_two.cfg")
 
 
 def run_cli(args, capsys):
@@ -658,6 +661,11 @@ class TestConfigAndErrors:
             ["matrix", "--p", "allc", "--q", "allc", "--out", "{missing}/m.json"],
             [*INTEGRATE, "--t", "0.1", "--out", "{missing}/r.csv"],
             ["torus", "--out", "{missing}/fig"],
+            ["matrix", "--n", "1", "--p", ",".join(["0.5"] * 16), "--q", "allc"],
+            ["matrix", "--n", "1", "--p", "a,b,c,d", "--q", "allc"],
+            # A directory is no readable config file.
+            ["matrix", "--config", ".", "--p", "allc", "--q", "allc"],
+            ["matrix", "--config", BAD_VALUE_CONFIG, "--p", "allc", "--q", "allc"],
         ],
     )
     def test_usage_errors_exit_64(self, capsys, tmp_path, args):

@@ -955,6 +955,19 @@ def test_interior_start_required():
         integrate(np.array([0.5, 0.5, 0.5, 1.0]), PARAMS, 1.0, method="rk45")
 
 
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize(
+    "x0, cause",
+    [([0.5] * 5, r"length must be 4\^N"), (np.full((2, 8), 0.5), "flat probability vector")],
+)
+def test_malformed_start_refused_where_it_enters(x0, cause, method):
+    # Strategy's rule refuses a start that is no strategy vector before the
+    # run begins. Five entries used to come back as a one-state "singular"
+    # run, and a (2, 8) array died inside the interior check.
+    with pytest.raises(ValueError, match=cause):
+        integrate(x0, PARAMS, 1.0, dt=1e-2, method=method)
+
+
 # ---- equilibria ----
 
 
@@ -1104,6 +1117,24 @@ def test_continuation_past_the_face_is_a_degenerate_source():
     assert np.real(point.eigenvalues[1]) == pytest.approx(
         0.0301927762328268, rel=1e-9
     )
+
+
+def test_spectra_that_no_label_names_are_other():
+    # win_loss_exchange reverses time, so the degenerate source past the
+    # p1 = 1 face becomes a sink: two near-zero eigenvalues and a negative
+    # real pair.
+    point = classify_equilibrium(win_loss_exchange(EXTERIOR_POINT), PARAMS)
+    assert point.classification == "other"
+    np.testing.assert_allclose(
+        np.real(point.eigenvalues[2:]), [-0.0301927762328268, -9.18046263977975], rtol=1e-9
+    )
+    # Far outside the cube the plane's nonzero pair is complex.
+    point = classify_equilibrium(interior_plane_point(-1.0, 0.25, PARAMS), PARAMS)
+    assert point.classification == "other"
+    pair = sorted(plane_eigenvalues(-1.0, 0.25, PARAMS), key=lambda v: v.imag)
+    nonzero = sorted((v for v in point.eigenvalues if abs(v) >= 1e-8), key=lambda v: v.imag)
+    np.testing.assert_allclose(nonzero, pair, rtol=1e-9)
+    assert abs(pair[0].imag) > 0.07
 
 
 def test_classification_depends_on_the_cost_ratio_alone():

@@ -96,15 +96,30 @@ def test_only_real_batches_reach_the_array_kernel():
 def test_only_the_kernels_and_the_desingularized_field_read_the_numerators():
     # The memory-1 field's numerators are stated once, in
     # dynamics._field_components. The two kernels divide them by the
-    # denominator; torus.desingularized_field pushes them forward to the
-    # angles undivided. A hand-typed copy in angle coordinates would state
-    # them again. (torus.py, None) is torus's import.
-    readers = {reader for path in SOURCES for reader in _reads_of("_field_components", path)}
-    assert readers == {
+    # denominator, and dynamics._field_numerators hands them on undivided
+    # to the desingularized field and its slow coefficient. A hand-typed
+    # copy in angle coordinates would state them again. The chart from
+    # angles through a kernel to the rates is stated once, in
+    # torus._angle_rates; field_grid runs it on arrays and slow_coefficient
+    # at an imaginary radius, and a second scalar chart would call
+    # _pushforward from elsewhere. (torus.py, None) is torus's import.
+    def readers(name):
+        return {reader for path in SOURCES for reader in _reads_of(name, path)}
+
+    assert readers("_field_components") == {
         ("dynamics.py", "_field_scalar"),
         ("dynamics.py", "_field_array"),
+        ("dynamics.py", "_field_numerators"),
+    }
+    assert readers("_field_numerators") == {
         ("torus.py", None),
         ("torus.py", "desingularized_field"),
+        ("torus.py", "slow_coefficient"),
+    }
+    assert readers("_pushforward") == {
+        ("torus.py", "_angle_rates"),
+        ("torus.py", "field_grid"),
+        ("torus.py", "slow_coefficient"),
     }
 
 
@@ -318,6 +333,7 @@ def test_per_memory_constants_are_cached():
         strategy._successor_table,
         chain._pattern,
         chain._identity,
+        chain._scatter_indices,
         payoff.build_payoff_vector,
     )
     for cached in cached_builders:
@@ -330,6 +346,13 @@ def test_per_memory_constants_are_cached():
         assert np.array_equal(eye, np.eye(n))
         with pytest.raises(ValueError):
             eye[0, 0] = 0.0
+    # The direct build scatters every matrix through the same index arrays.
+    for memory in (2, 3):
+        indices = chain._scatter_indices(memory)
+        assert chain._scatter_indices(memory) is indices
+        for array in indices:
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 def _altpd_imports(path):

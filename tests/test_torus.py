@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from altpd.dynamics import (
+    _field_scalar,
     _march,
     _step_count,
     field_closed_form,
@@ -55,6 +56,25 @@ def cube_denominator(x, b, c):
     return (x1 * (x2 - 1) - 2 * x2 * x3 + x2 + x3 * x4 - 1) * (
         x1 * (x2 - 2 * x4 - 1) - x2 + (x3 + 2) * x4 + 1
     ) ** 2
+
+
+def e2_linear_coefficient(s1, c1, s2, c2, v, c):
+    """Reference coefficient of u = sqrt(C1) in the kernel's E2 on the torus
+    at (1, c), typed out in angles (the constant order vanishes)."""
+    return v * (
+        c1 * ((c + 1.0) * c2 + (1.0 - c) * s2)
+        - 2.0 * s1 * ((c + 1.0) * c2 - c * s2)
+    )
+
+
+def reference_slow_coefficient(phi, psi, level, params):
+    """slow_coefficient from the typed E2 form: the desingularized psi-rate
+    is -u sin(phi) E2, so its C1-coefficient is -b sin(phi) times that of u
+    in E2 at (1, c/b)."""
+    s1, c1 = np.sin(phi), np.cos(phi)
+    s2, c2 = math.sin(psi), math.cos(psi)
+    e2 = e2_linear_coefficient(s1, c1, s2, c2, math.sqrt(level.c2), params.c / params.b)
+    return -params.b * s1 * e2
 
 
 def random_admissible_point(rng, level, margin=0.02):
@@ -112,7 +132,7 @@ def tuple_rk4_trajectory(pt, params, t_final, dt):
     u, v = math.sqrt(pt.level.c1), math.sqrt(pt.level.c2)
 
     def rates(y):
-        return _angle_rates(_wrap(y[0]), _wrap(y[1]), u, v, params.b, params.c)
+        return _angle_rates(_wrap(y[0]), _wrap(y[1]), u, v, params.b, params.c, _field_scalar)
 
     def step(y, dt):
         k1 = rates(y)
@@ -402,6 +422,31 @@ class TestDesingularizedField:
 
 
 class TestSlowAveraging:
+    def test_slow_coefficient_matches_the_typed_e2_form(self):
+        # The coefficient is read from the kernel by a complex step; the
+        # typed E2 form is the independent reference. The bound, fixed
+        # before this test was written, is 1e-14 b sqrt(C2); these draws
+        # measured at most 2.6e-15 b sqrt(C2).
+        rng = np.random.default_rng(19)
+        for _ in range(5000):
+            b = math.exp(rng.uniform(-3.0, 3.0))
+            params = PayoffParams(b, rng.uniform(0.02, 0.98) * b)
+            level = TorusLevel(*rng.uniform(0.05, 1.95, 2))
+            phi, psi = rng.uniform(0.0, TWO_PI, 2)
+            got = slow_coefficient(phi, psi, level, params)
+            want = reference_slow_coefficient(phi, psi, level, params)
+            assert abs(got - want) <= 1e-14 * b * math.sqrt(level.c2)
+        # Arrays of phi, and benefits at the ends of the float range, where
+        # the coefficient stays finite and nonzero.
+        grid = np.linspace(0.0, TWO_PI, 64, endpoint=False) + 0.01
+        level = TorusLevel(0.5, 0.7)
+        for b in (1.0, 1e-300, 1e300):
+            params = PayoffParams(b, 0.3 * b)
+            got = slow_coefficient(grid, 5.0, level, params)
+            assert np.all(np.isfinite(got)) and np.all(got != 0.0)
+            want = reference_slow_coefficient(grid, 5.0, level, params)
+            assert np.max(np.abs(got - want)) <= 1e-14 * b * math.sqrt(level.c2)
+
     def test_frozen_average_value(self):
         params = PayoffParams(1.0, 0.3)
         level = TorusLevel(1.0, 0.5)
@@ -584,6 +629,59 @@ class TestTorusEquilibria:
             seen += len(found)
         assert [len(angles(level, params)) for params, level in figures] == [1] * len(figures)
         assert seen > len(figures)
+
+    def test_one_equilibrium_per_torus(self):
+        # On the arc of the circle (x2 - 1, x4) = sqrt(C2) (sin psi, cos psi)
+        # inside the cube, the plane point's C1 rises strictly with psi, so
+        # at most one psi root of a level lies in the rectangle (README,
+        # "One equilibrium per torus"). torus_equilibria keeps every root
+        # that does, so a counterexample would show as two entries. The
+        # double roots of the psi-tangent levels lie at
+        # psi* = 2pi - atan(c/b) / 2, where the plane point has x1 > 1, or
+        # at psi* - pi/2 < 3pi/2, so those levels have no equilibrium.
+        rng = np.random.default_rng(41)
+        n = 50_000
+        benefits = np.resize([1.0, 2.0, 1e-6, 1e8], n)
+        drawn = zip(
+            benefits.tolist(),
+            (rng.uniform(0.001, 0.999, n) * benefits).tolist(),
+            rng.uniform(1e-6, 2.0, n).tolist(),
+            rng.uniform(1e-6, 2.0, n).tolist(),
+        )
+        levels = [(PayoffParams(b, c), TorusLevel(c1, c2)) for b, c, c1, c2 in drawn]
+        # |s| = 1 at C1 = C2 (1 + 2c^2 -+ 2c sqrt(1 + c^2)).
+        psi_tangent = []
+        while len(psi_tangent) < 1000:
+            ratio, c2 = rng.uniform(0.001, 0.999), rng.uniform(1e-6, 2.0)
+            sign = (1.0, -1.0)[len(psi_tangent) % 2]
+            c1 = c2 * (1.0 + 2.0 * ratio * ratio - sign * 2.0 * ratio * math.sqrt(1.0 + ratio * ratio))
+            if c1 <= 2.0:
+                psi_tangent.append((PayoffParams(1.0, ratio), TorusLevel(c1, c2)))
+        phi_tangent = [
+            (PayoffParams(1.0, ratio), TorusLevel(c2 / (1.0 + 4.0 * ratio * ratio), c2))
+            for ratio, c2 in zip(rng.uniform(0.001, 0.5, 1000), rng.uniform(1e-6, 2.0, 1000))
+        ]
+        counts = {"drawn": 0, "psi_tangent_roots": 0, "phi_tangent": 0}
+        for k, (params, level) in enumerate(levels + psi_tangent + phi_tangent):
+            found = len(torus_equilibria(level, params))
+            assert found <= 1, (params, level)
+            unit = PayoffParams(1.0, params.c / params.b)
+            if k < n:
+                counts["drawn"] += found
+            elif k < n + len(psi_tangent):
+                assert found == 0, (params, level)
+                counts["psi_tangent_roots"] += bool(_psi_candidates(level, unit.c))
+            else:
+                counts["phi_tangent"] += found
+            psi_star = TWO_PI - 0.5 * math.atan(unit.c)
+            r2 = math.sqrt(level.c2)
+            x = interior_plane_point(1.0 + r2 * math.sin(psi_star), r2 * math.cos(psi_star), unit)
+            assert x[0] > 1.0, (params, level)
+        # Measured: 4,979 equilibria, 682 psi-tangent levels with roots
+        # (rounding puts |s| past 1 on the others) and 615 phi-tangent
+        # equilibria (the others lie outside the rectangle).
+        assert counts["drawn"] > 4000 and counts["phi_tangent"] > 500
+        assert counts["psi_tangent_roots"] > 500
 
     def test_each_root_is_enumerated_once(self):
         # sin(2 psi - alpha) = s has four roots mod 2 pi, each generated
