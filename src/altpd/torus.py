@@ -170,7 +170,7 @@ def toric_denominator(phi, psi, level: TorusLevel):
 
 def _pushforward(s1, c1, s2, c2, u, v, g):
     """(phi_dot, psi_dot) from the cube field g at angles with sines s1, s2,
-    cosines c1, c2: floats for one point, arrays for a field_grid row.
+    cosines c1, c2: numbers for one point, arrays for many (a field_grid row).
     Given the kernel's numerators for g it returns A (phi_dot, psi_dot)."""
     g1, g2, g3, g4 = g
     return (c1 * g1 - s1 * g3) / u, (c2 * g2 - s2 * g4) / v

@@ -2,7 +2,6 @@
 run are exactly those that did not run, in the main thread or another."""
 
 import importlib.util
-import json
 import threading
 from pathlib import Path
 
@@ -68,7 +67,6 @@ def test_names_the_statements_that_never_ran(tool, tmp_path):
     assert results == [[2]]  # the thread ran, and so did its statement
     assert report == {"toypkg": [], "toypkg.mod": [10, 15]}
     assert threading.gettrace() is previous
-    json.dumps(report)
 
 
 def test_statement_lines_skip_docstrings_and_keep_one_line_bodies(tool):
