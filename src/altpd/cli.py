@@ -435,18 +435,15 @@ _COMMANDS = {
 
 
 def _build_parser() -> _Parser:
-    shared = _Parser(add_help=False)
-    for f in _OPTIONS:
-        shared.add_argument(f"--{f.name}", type=f.type, help=f.metadata["help"])
-    shared.add_argument("--config", help="flat key-value config file; flags override")
-
     parser = _Parser(
         prog="altpd",
         description="Alternating-game adaptive dynamics toolkit.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _COMMANDS.items():
-        sub.add_parser(name, parents=[shared], help=help_text)
+    commands = "; ".join(f"{name}: {text}" for name, (text, _) in _COMMANDS.items())
+    parser.add_argument("command", choices=_COMMANDS, help=commands)
+    for f in _OPTIONS:
+        parser.add_argument(f"--{f.name}", type=f.type, help=f.metadata["help"])
+    parser.add_argument("--config", help="flat key-value config file; flags override")
     return parser
 
 

@@ -89,11 +89,15 @@ class AdmissibilityReport:
     payoff_error: float = np.inf
 
 
-def _permutation_of(j: np.ndarray) -> np.ndarray:
+def _permutation_of(j: np.ndarray, n: int) -> np.ndarray:
+    """Column of the 1 in each row of J, which must be an n x n 0/1
+    permutation matrix."""
     j = np.asarray(j)
-    n = j.shape[0]
-    if j.shape != (n, n) or not np.array_equal(j, j.astype(bool).astype(float)):
+    square = j.ndim == 2 and j.shape[0] == j.shape[1]
+    if not square or not np.array_equal(j, j.astype(bool).astype(float)):
         raise ValueError("J must be a 0/1 permutation matrix")
+    if j.shape[0] != n:
+        raise ValueError("J size must match the 4^N state space")
     if not (np.all(j.sum(axis=0) == 1) and np.all(j.sum(axis=1) == 1)):
         raise ValueError("J must be a 0/1 permutation matrix")
     return j.argmax(axis=1)
@@ -121,12 +125,10 @@ def verify_admissibility(
     invariance: under the unpermuted f the relabeled pair's payoff does
     change (by -0.77 for J2 at one random memory-1 pair).
     """
-    perm = _permutation_of(j)
+    n = 4 ** _shared_memory(p, q)
+    perm = _permutation_of(j, n)
     matrix = build_matrix_direct(p, q)
     m = matrix.entries
-    n = m.shape[0]
-    if perm.size != n:
-        raise ValueError("J size must match the 4^N state space")
     follower, successor = _successor_table(matrix.memory)
     x = m[np.ix_(perm, perm)]
 

@@ -666,6 +666,10 @@ class TestConfigAndErrors:
             # A directory is no readable config file.
             ["matrix", "--config", ".", "--p", "allc", "--q", "allc"],
             ["matrix", "--config", BAD_VALUE_CONFIG, "--p", "allc", "--q", "allc"],
+            # No command, an unknown one, and flags with no command.
+            [],
+            ["bogus"],
+            ["--p", "allc", "--q", "allc"],
         ],
     )
     def test_usage_errors_exit_64(self, capsys, tmp_path, args):
@@ -677,20 +681,25 @@ class TestConfigAndErrors:
         if any("{missing}" in a for a in args):
             assert err.startswith(f"error: cannot write {missing}/")
 
-    def test_no_option_is_hidden_from_help(self):
-        # Every option a user can pass shows in `--help`; a fault a test
-        # needs goes in by monkeypatching, not by a suppressed flag.
-        parser = _build_parser()
-        (commands,) = [
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        ]
-        hidden = [
-            (p.prog, a.dest)
-            for p in [parser, *commands.choices.values()]
-            for a in p._actions
-            if a.help == argparse.SUPPRESS
-        ]
+    def test_no_option_is_hidden_from_help(self, capsys):
+        # Every option a user can pass, and every command, shows in
+        # `altpd --help`; a fault a test needs goes in by monkeypatching,
+        # not by a suppressed flag.
+        hidden = [a.dest for a in _build_parser()._actions if a.help == argparse.SUPPRESS]
         assert hidden == []
+        code, out, _ = run_cli(["--help"], capsys)
+        assert code == 0
+        for name in ("matrix", "integrate", "torus", "verify"):
+            assert f"{name}: " in out
+        flags = [f.name for f in fields(RunConfig) if f.name != "command"] + ["config"]
+        for name in flags:
+            assert f"--{name} " in out
+
+    def test_a_flag_may_precede_the_command(self, capsys):
+        after = run_cli(["matrix", "--p", "allc", "--q", "alld", "--b", "2"], capsys)
+        before = run_cli(["--p", "allc", "--b", "2", "matrix", "--q", "alld"], capsys)
+        assert after[0] == 0
+        assert before == after
 
     @pytest.mark.parametrize(
         "p",

@@ -1,6 +1,7 @@
 """Memory-1 adaptive dynamics: field, flow, conservation, stability."""
 
 import math
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -966,6 +967,39 @@ def test_malformed_start_refused_where_it_enters(x0, cause, method):
     # run, and a (2, 8) array died inside the interior check.
     with pytest.raises(ValueError, match=cause):
         integrate(x0, PARAMS, 1.0, dt=1e-2, method=method)
+
+
+MEMORY_TWO = np.full(16, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, cause",
+    [
+        (lambda: field_closed_form(MEMORY_TWO, PARAMS),
+         "closed form requires memory 1 (four coordinates)"),
+        (lambda: invariants(MEMORY_TWO), "invariants are defined for memory 1"),
+        (lambda: classify_equilibrium(MEMORY_TWO, PARAMS),
+         "classification requires memory 1"),
+        (lambda: field_numeric(np.full((2, 4), 0.5), PARAMS),
+         "field_numeric takes a single state vector"),
+        (lambda: integrate(PLANE_POINT, PARAMS, 1.0, method="euler"),
+         "method must be 'rk4' or 'rk45'"),
+        (lambda: conservation_drift(PLANE_POINT, PARAMS, 1.0),
+         "x0_batch must have shape (n, 4)"),
+        (lambda: conservation_drift(np.full((2, 16), 0.5), PARAMS, 1.0),
+         "x0_batch must have shape (n, 4)"),
+        (lambda: conservation_drift(np.array([[0.5, 0.5, 0.5, 0.0]]), PARAMS, 1.0),
+         "initial states must be interior"),
+        (lambda: equilibrium_families(PARAMS)[1].point(p2=0.5),
+         "family 'interior plane' expects parameters ('p2', 'p4')"),
+    ],
+    ids=["closed-form-memory-2", "invariants-memory-2", "classify-memory-2",
+         "numeric-2d", "unknown-method", "drift-1d", "drift-memory-2",
+         "drift-on-a-face", "family-missing-parameter"],
+)
+def test_input_off_the_domain_is_refused_by_name(call, cause):
+    with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
+        call()
 
 
 # ---- equilibria ----

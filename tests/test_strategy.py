@@ -1,5 +1,7 @@
 """History encoding, strategy containers, and payoff parameter wiring."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,28 @@ def test_strategy_rejects_non_finite_entries():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             Strategy(np.array([bad, 0.5, 0.5, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "call, cause",
+    [
+        (lambda: decode_history(0, 0), "memory must be >= 1"),
+        (lambda: follower_index(3, "C"),
+         "history must be a History or a history word string"),
+        (lambda: Strategy(np.array([0.5])), "strategy length must be 4^N with N >= 1"),
+    ],
+    ids=["decode-memory-0", "follower-of-an-index", "strategy-length-1"],
+)
+def test_input_off_the_domain_is_refused_by_name(call, cause):
+    with pytest.raises(ValueError, match=f"^{re.escape(cause)}$"):
+        call()
+
+
+def test_strategy_entries_read_as_python_floats():
+    s = Strategy(np.array([0.1, 0.2, 0.3, 0.4]))
+    assert [s[i] for i in range(4)] == [0.1, 0.2, 0.3, 0.4]
+    assert type(s[2]) is float
+    assert s[-1] == 0.4
 
 
 def test_strategy_memory_inferred_from_length():

@@ -1,5 +1,6 @@
 """Relabeling symmetries: group structure, conjugation, admissibility."""
 
+import re
 from functools import reduce
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from altpd.chain import build_matrix_direct, stationary
 from altpd.dynamics import win_loss_exchange
 from altpd.errors import NonUniqueStationaryError
-from altpd.strategy import PayoffParams, Strategy, random_strategy
+from altpd.strategy import PayoffParams, Strategy, all_c, all_d, random_strategy
 from altpd.symmetry import (
     _FLIPS,
     build_admissible,
@@ -238,6 +239,31 @@ def test_rejects_non_permutation_input():
         verify_admissibility(
             np.full((4, 4), 0.25), *[random_strategy(1, RNG)] * 2, PARAMS
         )
+
+
+NOT_A_PERMUTATION = "J must be a 0/1 permutation matrix"
+WRONG_SIZE = "J size must match the 4^N state space"
+
+
+@pytest.mark.parametrize(
+    "j, message",
+    [
+        (np.float64(1.0), NOT_A_PERMUTATION),
+        (Strategy(np.full(4, 0.5)), NOT_A_PERMUTATION),
+        (np.ones(4), NOT_A_PERMUTATION),
+        (np.ones((4, 3)), NOT_A_PERMUTATION),
+        # 0/1 and square, but rows and columns do not each sum to 1.
+        (np.ones((4, 4)), NOT_A_PERMUTATION),
+        (np.eye(4)[[0, 0, 1, 2]], NOT_A_PERMUTATION),
+        # Permutations of another state space than the memory-1 pair's.
+        (np.eye(16), WRONG_SIZE),
+        (np.eye(0), WRONG_SIZE),
+    ],
+    ids=["0-d", "strategy", "1-d", "4x3", "ones", "repeated-row", "16x16", "0x0"],
+)
+def test_malformed_j_is_refused_by_name(j, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_admissibility(j, all_c(1), all_d(1), PARAMS)
 
 
 def test_exhaustive_search_finds_exactly_the_four():
