@@ -690,7 +690,7 @@ class TestConfigAndErrors:
         code, out, _ = run_cli(["--help"], capsys)
         assert code == 0
         for name in ("matrix", "integrate", "torus", "verify"):
-            assert f"{name}: " in out
+            assert f"{name}:" in out
         flags = [f.name for f in fields(RunConfig) if f.name != "command"] + ["config"]
         for name in flags:
             assert f"--{name} " in out
